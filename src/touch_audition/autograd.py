@@ -10,28 +10,28 @@ average pooling, batch norm, dropout, concat, and softmax cross-entropy.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-_GRAD_ENABLED = True
+# Grad mode is per thread (each thread starts in a fresh context), so a
+# `no_grad` block in one worker cannot switch graph building off in another.
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
-# Cap on the im2col scratch buffer conv2d lowers each batch chunk into. Keeps
-# peak memory flat for large batches while leaving single-clip inference as
-# one full-size GEMM.
+# Cap on the lowered scratch conv2d works through per batch chunk (forward
+# and backward). Keeps peak memory flat for large batches.
 _CONV_COL_BYTES = 64 << 20
 
 
 @contextmanager
 def no_grad():
     """Disable graph construction inside the block (inference / eval)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -45,6 +45,21 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
+    """Lower a channels-first chunk (n, c, t, f) over its frequency taps only.
+
+    Returns Y (n, t*fo, kf*c), fo = f - (kf-1)*rf, with
+    Y[s, u*fo + v, j*c + ch] = x[s, ch, u, v + j*rf]. Time stays the outer
+    row axis, so the rows one time tap reads form a single contiguous block.
+    """
+    n, c = x.shape[:2]
+    # Channels-last first, so the (kf, c) block of a row copies as one run
+    # (undilated frequency) or kf runs of c.
+    xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=dtype)
+    windows = sliding_window_view(xl, (kf - 1) * rf + 1, axis=2)[..., ::rf].swapaxes(3, 4)
+    return np.ascontiguousarray(windows).reshape(n, -1, kf * c)
 
 
 class Tensor:
@@ -113,7 +128,7 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        track = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=track)
         if track:
             out._parents = parents
@@ -220,10 +235,15 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Forward lowers each batch chunk to an im2col matrix and runs one GEMM;
-        the chunking caps scratch memory on large batches. Backward loops over
-        kernel taps with one GEMM per tap, so no temporary ever grows past the
-        input-gradient size.
+        Both passes lower only the frequency taps: `_lower_freq_taps` turns
+        a batch chunk into Y (nc, t*fo, kf*c), kt times smaller than a full
+        im2col, and time tap i reads the contiguous row block
+        Y[s, i*rt*fo : (i*rt+to)*fo]. Forward sums one GEMM per time tap,
+        W_i @ block.T, into the channels-first output. Backward rebuilds Y
+        instead of keeping it in the graph, accumulates gW_i += g[s] @ block,
+        scatters dY[block] += g[s].T @ W_i into one sample's dY, and folds dY
+        onto the input gradient with kf strided adds. Chunking keeps the
+        lowered scratch under `_CONV_COL_BYTES`.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -238,29 +258,32 @@ class Tensor:
             )
         to = t - kt_eff + 1
         fo = f - kf_eff + 1
+        rows = to * fo
+        k = kf * c
         rtype = np.result_type(self.data.dtype, weight.data.dtype)
-        # Lowered K-axis order is (kt, kf, c): from a channels-last input view
-        # the trailing (kf, c) block is contiguous, so filling the col buffer
-        # runs at memcpy speed instead of gathering single floats.
-        w2 = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0), dtype=rtype).reshape(kt * kf * c, o)
+        # Per-tap weights W_i, (kt, o, kf*c), columns in Y's (kf, c) order.
+        wl = np.ascontiguousarray(weight.data.transpose(2, 0, 3, 1), dtype=rtype).reshape(kt, o, k)
+        taps = [slice(i * rt * fo, i * rt * fo + rows) for i in range(kt)]
+        # Scratch budget: a chunk costs Y plus the channels-last copy it is
+        # built from, per sample; one sample's dY, GEMM result and folded
+        # input gradient are reused across the batch and come off the top.
+        item = rtype.itemsize
+        per_sample = item * (t * fo * k + t * f * c)
+        reused = item * (t * fo * k + rows * max(o, k) + t * f * c)
+        step = max(1, min(n, (_CONV_COL_BYTES - reused) // per_sample))
+
         out_data = np.empty((n, o, to, fo), dtype=rtype)
-        per_sample = to * fo * c * kt * kf * rtype.itemsize
-        step = max(1, min(n, _CONV_COL_BYTES // max(per_sample, 1)))
+        out3 = out_data.reshape(n, o, rows)
+        tmp = np.empty((o, rows), dtype=rtype)
         for a in range(0, n, step):
-            xc = self.data[a : a + step]
-            nc = xc.shape[0]
-            xl = np.ascontiguousarray(xc.transpose(0, 2, 3, 1), dtype=rtype)
-            vf = sliding_window_view(xl, kf_eff, axis=2)[..., ::rf].swapaxes(3, 4)
-            col = np.empty((nc, to, fo, kt, kf, c), dtype=rtype)
-            for i in range(kt):
-                col[:, :, :, i] = vf[:, i * rt : i * rt + to]
-            col2 = col.reshape(nc * to * fo, kt * kf * c)
-            if nc == 1:
-                # Transposed GEMM writes channels-first output directly.
-                np.matmul(w2.T, col2.T, out=out_data[a].reshape(o, to * fo))
-            else:
-                prod = col2 @ w2
-                out_data[a : a + nc] = prod.reshape(nc, to, fo, o).transpose(0, 3, 1, 2)
+            y = _lower_freq_taps(self.data[a : a + step], kf, rf, rtype)
+            for s in range(y.shape[0]):
+                acc = out3[a + s]
+                np.matmul(wl[0], y[s, taps[0]].T, out=acc)
+                for i in range(1, kt):
+                    np.matmul(wl[i], y[s, taps[i]].T, out=tmp)
+                    acc += tmp
+            del y  # free this chunk before the next one is lowered
         out_data += bias.data.reshape(1, -1, 1, 1)
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
@@ -271,24 +294,45 @@ class Tensor:
                 need_x = self.requires_grad
                 if not (need_w or need_x):
                     return
-                g2 = np.ascontiguousarray(out.grad.transpose(0, 2, 3, 1)).reshape(-1, o)
-                xl = np.ascontiguousarray(self.data.transpose(0, 2, 3, 1)) if need_w else None
-                gw = np.empty_like(weight.data) if need_w else None
-                gxl = np.zeros((n, t, f, c), dtype=g2.dtype) if need_x else None
-                for i in range(kt):
-                    ti = i * rt
-                    for j in range(kf):
-                        fj = j * rf
-                        if need_w:
-                            sl = np.ascontiguousarray(xl[:, ti : ti + to, fj : fj + fo, :])
-                            gw[:, :, i, j] = g2.T @ sl.reshape(-1, c)
-                        if need_x:
-                            gs = g2 @ weight.data[:, :, i, j]
-                            gxl[:, ti : ti + to, fj : fj + fo, :] += gs.reshape(-1, to, fo, c)
+                g3 = out.grad.reshape(n, o, rows)
                 if need_w:
-                    weight._accumulate(gw)
+                    gw = np.zeros((kt, o, k), dtype=rtype)
+                    tmp_w = np.empty((o, k), dtype=rtype)
                 if need_x:
-                    self._accumulate(np.ascontiguousarray(gxl.transpose(0, 3, 1, 2)))
+                    gx = np.empty((n, c, t, f), dtype=rtype)
+                    dy = np.empty((t * fo, k), dtype=rtype)
+                    dy4 = dy.reshape(t, fo, kf, c)
+                    tmp_y = np.empty((rows, k), dtype=rtype)
+                    gxl = np.empty((t, f, c), dtype=rtype)
+                for a in range(0, n, step):
+                    nc = min(step, n - a)
+                    if need_w:
+                        y = _lower_freq_taps(self.data[a : a + nc], kf, rf, rtype)
+                    for s in range(nc):
+                        gs = g3[a + s]
+                        if need_w:
+                            for i in range(kt):
+                                np.matmul(gs, y[s, taps[i]], out=tmp_w)
+                                gw[i] += tmp_w
+                        if need_x:
+                            # Tap 0 and frequency tap 0 are written, not
+                            # added; the rows and columns past them start at 0.
+                            np.matmul(gs.T, wl[0], out=dy[:rows])
+                            dy[rows:] = 0
+                            for i in range(1, kt):
+                                np.matmul(gs.T, wl[i], out=tmp_y)
+                                dy[taps[i]] += tmp_y
+                            gxl[:, :fo] = dy4[:, :, 0]
+                            gxl[:, fo:] = 0
+                            for j in range(1, kf):
+                                gxl[:, j * rf : j * rf + fo] += dy4[:, :, j]
+                            gx[a + s] = gxl.transpose(2, 0, 1)
+                    if need_w:
+                        del y  # free this chunk before the next one is lowered
+                if need_w:
+                    weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
+                if need_x:
+                    self._accumulate(gx)
             out._backward = _backward
         return out
 
@@ -318,7 +362,7 @@ class Tensor:
         else:
             mu, var = running_mean, running_var
         inv_std = 1.0 / np.sqrt(var + eps)
-        track = _GRAD_ENABLED and (self.requires_grad or gamma.requires_grad or beta.requires_grad)
+        track = _GRAD_ENABLED.get() and (self.requires_grad or gamma.requires_grad or beta.requires_grad)
         if track:
             xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
             out_data = gamma.data.reshape(1, -1, 1, 1) * xhat + beta.data.reshape(1, -1, 1, 1)

@@ -162,10 +162,15 @@ def load_melf(path: str) -> np.ndarray:
         magic = fh.read(4)
         if magic != MELF_MAGIC:
             raise AudioFormatError(f"{path}: bad MELF magic {magic!r}")
-        version, t, f = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise AudioFormatError(f"{path}: truncated MELF header")
+        version, t, f = struct.unpack("<III", header)
         if version != MELF_VERSION:
             raise AudioFormatError(f"{path}: unsupported MELF version {version}")
-        data = fh.read(4 * t * f)
-        if len(data) != 4 * t * f:
+        # Read what the file holds rather than what the header claims, so a
+        # corrupt header cannot ask for an arbitrarily large buffer.
+        data = fh.read()
+        if len(data) < 4 * t * f:
             raise AudioFormatError(f"{path}: truncated MELF payload")
-    return np.frombuffer(data, dtype="<f4").reshape(t, f).copy()
+    return np.frombuffer(data, dtype="<f4", count=t * f).reshape(t, f).copy()

@@ -19,3 +19,7 @@ class CheckpointFormatError(TouchAuditionError):
 
 class ManifestError(TouchAuditionError):
     """Manifest CSV missing, malformed, or with unknown labels."""
+
+
+class TrainingDivergedError(TouchAuditionError):
+    """Training produced a non-finite loss; the run stops instead of going on."""

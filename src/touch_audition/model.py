@@ -9,6 +9,7 @@ classified by a linear head.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -48,12 +49,12 @@ class ModelConfig:
 
     @staticmethod
     def from_blob(blob: bytes) -> "ModelConfig":
-        kv = {}
-        for line in blob.decode("utf-8").splitlines():
-            key, _, value = line.partition("=")
-            kv[key] = value
         try:
-            return ModelConfig(
+            kv = {}
+            for line in blob.decode("utf-8").splitlines():
+                key, _, value = line.partition("=")
+                kv[key] = value
+            config = ModelConfig(
                 task=kv["task"],
                 n_classes=int(kv["n_classes"]),
                 n_mels=int(kv["n_mels"]),
@@ -68,6 +69,16 @@ class ModelConfig:
             )
         except (KeyError, ValueError) as e:
             raise CheckpointFormatError(f"bad config blob: {e}") from e
+        sizes = (config.n_classes, config.n_mels, config.embed_dim,
+                 *config.kernel_sizes, *config.filters, *sum(config.dilations, ()))
+        if (
+            min(sizes) < 1
+            or len(config.dilations) != len(config.filters)
+            or any(len(pair) != 2 for pair in config.dilations)
+            or not 0.0 <= config.dropout < 1.0
+        ):
+            raise CheckpointFormatError(f"bad config blob: values out of range in {config}")
+        return config
 
 
 class Branch:
@@ -210,22 +221,27 @@ def save_checkpoint(path: str, model: Mtrcnn) -> None:
 
 
 def load_checkpoint(path: str) -> Mtrcnn:
-    """Rebuild a model from checkpoint bytes, validating names and shapes."""
+    """Rebuild a model from checkpoint bytes, validating names, shapes and values.
+
+    Any malformed file (truncated, trailing bytes, bad config, unknown or
+    missing tensors, non-finite values) raises CheckpointFormatError.
+    """
+    from .analysis import count_params  # local import; analysis imports this module
+
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {data[:4]!r}")
-    off = 4
-    version, blob_len = struct.unpack_from("<II", data, off)
-    off += 8
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    config = ModelConfig.from_blob(data[off : off + blob_len])
-    off += blob_len
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
     loaded: dict[str, np.ndarray] = {}
     try:
+        version, blob_len = struct.unpack_from("<II", data, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        off = 12
+        config = ModelConfig.from_blob(data[off : off + blob_len])
+        off += blob_len
+        (count,) = struct.unpack_from("<I", data, off)
+        off += 4
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, off)
             off += 2
@@ -235,12 +251,24 @@ def load_checkpoint(path: str) -> Mtrcnn:
             off += 1
             shape = struct.unpack_from(f"<{ndim}I", data, off)
             off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
+            size = math.prod(shape)
+            if 4 * size > len(data) - off:
+                raise CheckpointFormatError(f"{path}: tensor {name!r} {shape} runs past the end of the file")
             arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape)
             off += 4 * size
             loaded[name] = arr.copy()
     except (struct.error, ValueError) as e:
-        raise CheckpointFormatError(f"{path}: truncated or corrupt tensor records ({e})") from e
+        raise CheckpointFormatError(f"{path}: truncated or corrupt checkpoint ({e})") from e
+    if off != len(data):
+        raise CheckpointFormatError(f"{path}: {len(data) - off} trailing bytes after the last tensor")
+    nonfinite = sorted(name for name, arr in loaded.items() if not np.all(np.isfinite(arr)))
+    if nonfinite:
+        raise CheckpointFormatError(f"{path}: non-finite values in {nonfinite}")
+    # The parameters and the two feature-statistics vectors are all stored
+    # as float32, so a config asking for more than the file holds is
+    # corrupt; checking first keeps it from allocating a model of any size.
+    if 4 * (count_params(config)["total"] + 2 * config.n_mels) > len(data):
+        raise CheckpointFormatError(f"{path}: config describes more parameters than the file holds")
 
     model = Mtrcnn(config, rng=np.random.default_rng(0))
     params = model.parameters()

@@ -33,7 +33,7 @@ from .data import (
     target_frames,
     write_manifest,
 )
-from .errors import ManifestError
+from .errors import ManifestError, TrainingDivergedError
 from .model import ModelConfig, Mtrcnn, save_checkpoint
 from .stats import shapiro_wilk
 
@@ -190,6 +190,11 @@ def train_run(
             y = train_labels[idx]
             logits = model.forward(x, training=True, dropout_rng=dropout_rng)
             loss = cross_entropy(logits, y)
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(
+                    f"non-finite training loss ({float(loss.data)}) in epoch {epoch}; "
+                    f"lower the learning rate (now {settings.lr:g}) or check the features"
+                )
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -1,10 +1,12 @@
 """Shared test oracles: finite-difference gradient checks, a naive
-convolution reference, and an impulse-dependency footprint probe."""
+convolution reference, a corrupt-file generator for parser fuzzing, and an
+impulse-dependency footprint probe."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from touch_audition.autograd import Tensor
 
@@ -73,6 +75,18 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation=(1, 1)) -
                                 acc += x[ni, ci, ti + i * rt, fi + j * rf] * w[oi, ci, i, j]
                     out[ni, oi, ti, fi] = acc + b[oi]
     return out
+
+
+def corrupted(valid: bytes, magic: bytes):
+    """Byte strings from nothing like the format to one byte off a valid file."""
+    at = st.integers(0, len(valid) - 1)
+    return st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda tail: magic + tail),
+        at.map(lambda k: valid[:k]),
+        st.tuples(at, st.integers(0, 255)).map(lambda p: valid[: p[0]] + bytes([p[1]]) + valid[p[0] + 1 :]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: valid + tail),
+    )
 
 
 def dependency_footprint(chain: list[tuple], t_in: int, f_in: int = 16) -> int:

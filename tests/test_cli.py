@@ -134,6 +134,20 @@ def test_infer_rejects_short_clip(trained, tmp_path, capsys):
     assert err.startswith("error:") and "110" in err
 
 
+def test_train_stops_on_non_finite_loss(tiny_corpus, tmp_path, capsys):
+    out = str(tmp_path / "diverged")
+    with np.errstate(all="ignore"):  # the overflow on the way to NaN is the point
+        rc = main([
+            "train", "--manifest", tiny_corpus, "--task", "gesture",
+            "--out", out, "--epochs", "2", "--batch-size", "8",
+            "--crop-s", "1.2", "--splits", "12,3,3", "--seed", "3", "--lr", "1e10",
+        ])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite training loss")
+    assert not os.path.exists(os.path.join(out, "run0", "model.ckpt"))
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import corrupted
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touch_audition import dsp
-from touch_audition.errors import AudioFormatError, InputTooShortError
+from touch_audition.errors import AudioFormatError, InputTooShortError, TouchAuditionError
 
 
 def test_wav_round_trip(tmp_path):
@@ -197,7 +200,30 @@ def test_melf_rejects_bad_bytes(tmp_path):
     feats = np.zeros((10, 64), dtype=np.float32)
     dsp.save_melf(trunc, feats)
     data = open(trunc, "rb").read()
-    with open(trunc, "wb") as fh:
-        fh.write(data[: len(data) // 2])
-    with pytest.raises(AudioFormatError):
-        dsp.load_melf(trunc)
+    for blob in (data[: len(data) // 2], data[:10]):  # payload, then header
+        with open(trunc, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(AudioFormatError):
+            dsp.load_melf(trunc)
+
+
+@pytest.fixture(scope="module")
+def small_melf(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "small.melf")
+    dsp.save_melf(path, np.arange(40, dtype=np.float32).reshape(10, 4))
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_melf_reader_never_leaks_raw_errors(small_melf, data):
+    path, valid = small_melf
+    fuzz = path + ".fuzz"
+    with open(fuzz, "wb") as fh:
+        fh.write(data.draw(corrupted(valid, dsp.MELF_MAGIC)))
+    try:
+        feats = dsp.load_melf(fuzz)
+    except TouchAuditionError:
+        return
+    assert feats.dtype == np.float32 and feats.ndim == 2

@@ -3,11 +3,19 @@ footprints, checkpoint round-trips, and mode behavior."""
 
 import numpy as np
 import pytest
-from conftest import dependency_footprint
+from conftest import corrupted, dependency_footprint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touch_audition.analysis import count_params, min_input_frames
-from touch_audition.errors import CheckpointFormatError, InputTooShortError
-from touch_audition.model import ModelConfig, Mtrcnn, load_checkpoint, save_checkpoint
+from touch_audition.errors import CheckpointFormatError, InputTooShortError, TouchAuditionError
+from touch_audition.model import (
+    CHECKPOINT_MAGIC,
+    ModelConfig,
+    Mtrcnn,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -153,15 +161,59 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(bad_magic)
 
-    truncated = str(tmp_path / "trunc.ckpt")
-    with open(truncated, "wb") as fh:
-        fh.write(raw[: len(raw) - 1000])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(truncated)
+    for name, blob in [
+        ("trunc", raw[: len(raw) - 1000]),
+        ("header", raw[:6]),           # magic plus half the version field
+        ("trailing", raw + b"\x00"),
+    ]:
+        bad = str(tmp_path / f"{name}.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(bad)
+
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+    model.parameters()["head.weight"].data[0, 0] = np.nan
+    nonfinite = str(tmp_path / "nan.ckpt")
+    save_checkpoint(nonfinite, model)
+    with pytest.raises(CheckpointFormatError, match="non-finite"):
+        load_checkpoint(nonfinite)
 
 
 def test_config_blob_round_trip():
     cfg = ModelConfig(task="valence", n_classes=3, dropout=0.35)
     assert ModelConfig.from_blob(cfg.to_blob()) == cfg
-    with pytest.raises(CheckpointFormatError):
-        ModelConfig.from_blob(b"task=gesture\nn_classes=oops")
+    for bad in [
+        b"task=gesture\nn_classes=oops",
+        ModelConfig(kernel_sizes=(3, 0)).to_blob(),
+        ModelConfig(dilations=((1, 1), (2, 1))).to_blob(),
+        ModelConfig(dropout=1.0).to_blob(),
+        b"\xff",
+    ]:
+        with pytest.raises(CheckpointFormatError):
+            ModelConfig.from_blob(bad)
+
+
+FUZZ_CONFIG = ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "small.ckpt")
+    save_checkpoint(path, Mtrcnn(FUZZ_CONFIG, np.random.default_rng(1)))
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checkpoint_reader_never_leaks_raw_errors(small_checkpoint, data):
+    path, valid = small_checkpoint
+    fuzz = path + ".fuzz"
+    with open(fuzz, "wb") as fh:
+        fh.write(data.draw(corrupted(valid, CHECKPOINT_MAGIC)))
+    try:
+        model = load_checkpoint(fuzz)
+    except TouchAuditionError:
+        return
+    assert all(np.all(np.isfinite(p.data)) for p in model.parameters().values())
