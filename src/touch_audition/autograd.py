@@ -3,8 +3,13 @@
 A Tensor wraps an ndarray plus a gradient slot and a backward closure; ops
 build the graph eagerly and `backward()` runs the closures in reverse
 topological order. Only the ops this model needs are implemented: broadcast
-add/mul, matmul, relu, dilated valid conv2d, 2x2 average pooling, global
-average pooling, batch norm, dropout, concat, and softmax cross-entropy.
+add/mul, matmul, relu, reshape, sum, dilated valid conv2d, 2x2 average
+pooling, global average pooling, batch norm, the fused conv-block tail
+(batch norm -> ReLU -> 2x2 average pooling, `bn_relu_pool`), dropout,
+concat, and softmax cross-entropy.
+
+Closures treat `out.grad` as read-only: a gradient handed to `_accumulate`
+may be stored as is, so the same array can be another node's gradient too.
 """
 
 from __future__ import annotations
@@ -62,6 +67,100 @@ def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
     return np.ascontiguousarray(windows).reshape(n, -1, kf * c)
 
 
+def _channel(v: np.ndarray) -> np.ndarray:
+    """A per-channel vector shaped to broadcast over (n, c, t, f)."""
+    return v.reshape(1, -1, 1, 1)
+
+
+def _bn_stats(x, running_mean, running_var, training: bool, momentum: float):
+    """Per-channel (mean, var) to normalize with.
+
+    Training mode takes biased batch statistics and blends them into the
+    running buffers in place; eval mode returns copies of the buffers, so a
+    later update cannot change what a pending backward recomputes.
+    """
+    if not training:
+        return running_mean.copy(), running_var.copy()
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    return mu, var
+
+
+def _bn_fold(gamma, beta, mu, var, eps: float):
+    """Fold normalization and affine into per-channel (inv_std, scale, shift),
+    so that gamma * (x - mu) * inv_std + beta == x * scale + shift."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv_std
+    return inv_std, scale, beta - mu * scale
+
+
+def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """x * scale + shift per channel, built in one new buffer."""
+    h = x * _channel(scale)
+    h += _channel(shift)
+    return h
+
+
+def _bn_backward(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray, training: bool):
+    """Batch-norm gradients from the output gradient `g` (read only).
+
+    Returns (d input, d gamma, d beta). The input gradient is built in
+    `xhat`'s buffer, which is overwritten: in training mode it is
+    scale * (g - mean(g) - xhat * mean(g * xhat)), in eval mode scale * g.
+    """
+    n, c = g.shape[:2]
+    gbeta = g.reshape(n, c, -1).sum(axis=2).sum(axis=0)
+    ggamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat.reshape(n, c, -1))
+    if training:
+        m = g.size // c
+        xhat *= _channel(-ggamma / m)
+        xhat += g
+        xhat -= _channel(gbeta / m)
+        xhat *= _channel(scale)
+    else:
+        np.multiply(g, _channel(scale), out=xhat)
+    return xhat, ggamma, gbeta
+
+
+def _bn_accumulate(*pairs: tuple["Tensor", np.ndarray]) -> None:
+    """Hand each (tensor, gradient) pair's gradient over if the tensor wants one."""
+    for t, grad in pairs:
+        if t.requires_grad:
+            t._accumulate(grad)
+
+
+def _pool2x2(x: np.ndarray) -> np.ndarray:
+    """2x2 average pooling, stride 2, over the last two axes; an odd
+    trailing row or column is dropped (floor semantics)."""
+    t2, f2 = x.shape[2] // 2, x.shape[3] // 2
+    if t2 < 1 or f2 < 1:
+        raise ValueError(f"avg_pool2d needs both spatial dims >= 2, got input shape {x.shape}")
+    out = x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] + x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2]
+    out += x[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2]
+    out += x[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2]
+    out *= 0.25
+    return out
+
+
+def _unpool2x2(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Backward of `_pool2x2`: a new `shape` buffer with grad * 0.25 in each
+    window's four cells and zeros in a dropped odd row or column."""
+    t2, f2 = grad.shape[2], grad.shape[3]
+    g = np.empty(shape, dtype=grad.dtype)
+    spread = grad * 0.25
+    g[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
+    g[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
+    g[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
+    g[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
+    g[:, :, t2 * 2 :] = 0
+    g[:, :, :, f2 * 2 :] = 0
+    return g
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -84,9 +183,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first gradient is stored as given, later ones are added out of
+        # place: `grad` may also be another node's gradient (`__add__` hands
+        # the same array to both parents; `reshape` and `concat` pass views).
+        grad = grad.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+        else:
+            self.grad = self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -207,25 +311,10 @@ class Tensor:
 
     def avg_pool2d(self) -> "Tensor":
         """2x2 average pooling, stride 2, floor semantics on odd sizes."""
-        n, c, t, f = self.data.shape
-        t2, f2 = t // 2, f // 2
-        if t2 < 1 or f2 < 1:
-            raise ValueError(f"avg_pool2d needs both spatial dims >= 2, got input shape {self.data.shape}")
-        x = self.data
-        out_data = x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] + x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2]
-        out_data += x[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2]
-        out_data += x[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2]
-        out_data *= 0.25
-        out = Tensor._make(out_data, (self,))
+        out = Tensor._make(_pool2x2(self.data), (self,))
         if out.requires_grad:
             def _backward():
-                g = np.zeros_like(self.data)
-                spread = out.grad * 0.25
-                g[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
-                g[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
-                g[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
-                g[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
-                self._accumulate(g)
+                self._accumulate(_unpool2x2(out.grad, self.data.shape))
             out._backward = _backward
         return out
 
@@ -349,45 +438,68 @@ class Tensor:
         """Per-channel batch normalization over (n, c, t, f).
 
         Training mode normalizes with biased batch statistics and updates the
-        running buffers in place; eval mode uses the buffers.
+        running buffers in place; eval mode uses the buffers. The model runs
+        `bn_relu_pool` instead; this op is its unfused reference.
         """
         x = self.data
-        if training:
-            mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-        else:
-            mu, var = running_mean, running_var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        mu, var = _bn_stats(x, running_mean, running_var, training, momentum)
+        inv_std, scale, shift = _bn_fold(gamma.data, beta.data, mu, var, eps)
         track = _GRAD_ENABLED.get() and (self.requires_grad or gamma.requires_grad or beta.requires_grad)
         if track:
-            xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-            out_data = gamma.data.reshape(1, -1, 1, 1) * xhat + beta.data.reshape(1, -1, 1, 1)
+            xhat = (x - _channel(mu)) * _channel(inv_std)
+            out_data = _channel(gamma.data) * xhat + _channel(beta.data)
         else:
-            # Inference path: fold the whole affine into one scale and shift.
-            scale = gamma.data * inv_std
-            shift = beta.data - mu * scale
-            out_data = x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+            out_data = _bn_affine(x, scale, shift)
         out = Tensor._make(out_data.astype(x.dtype, copy=False), (self, gamma, beta))
         if out.requires_grad:
             def _backward():
-                if beta.requires_grad:
-                    beta._accumulate(out.grad.sum(axis=(0, 2, 3)))
-                if gamma.requires_grad:
-                    gamma._accumulate((out.grad * xhat).sum(axis=(0, 2, 3)))
-                if self.requires_grad:
-                    gxhat = out.grad * gamma.data.reshape(1, -1, 1, 1)
-                    if training:
-                        m = x.shape[0] * x.shape[2] * x.shape[3]
-                        s1 = gxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-                        s2 = (gxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-                        gx = (gxhat - s1 / m - xhat * s2 / m) * inv_std.reshape(1, -1, 1, 1)
-                    else:
-                        gx = gxhat * inv_std.reshape(1, -1, 1, 1)
-                    self._accumulate(gx.astype(x.dtype, copy=False))
+                # The graph is single-use, so xhat's buffer is free to reuse.
+                gx, ggamma, gbeta = _bn_backward(out.grad, xhat, scale, training)
+                _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
+            out._backward = _backward
+        return out
+
+    def bn_relu_pool(
+        self,
+        gamma: "Tensor",
+        beta: "Tensor",
+        running_mean: np.ndarray,
+        running_var: np.ndarray,
+        training: bool,
+        momentum: float = 0.1,
+        eps: float = 1e-5,
+    ) -> "Tensor":
+        """Batch norm, ReLU and 2x2 average pooling as one op.
+
+        Same result as `batch_norm(...).relu().avg_pool2d()`, but the graph
+        keeps only the input (this op's parent) and per-channel vectors: the
+        normalized, rectified full-size array is built in one buffer, pooled
+        and dropped. Backward recomputes it with the same expression, so the
+        ReLU mask has the same bits, and recomputes xhat from the input
+        (recompute-in-backward, Chen et al., arXiv:1604.06174).
+        """
+        x = self.data
+        mu, var = _bn_stats(x, running_mean, running_var, training, momentum)
+        inv_std, scale, shift = (
+            v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var, eps)
+        )
+        mu = mu.astype(x.dtype, copy=False)
+        h = _bn_affine(x, scale, shift)
+        np.maximum(h, 0, out=h)
+        out_data = _pool2x2(h)
+        del h
+        out = Tensor._make(out_data, (self, gamma, beta))
+        if out.requires_grad:
+            def _backward():
+                g = _unpool2x2(out.grad, x.shape)
+                h = _bn_affine(x, scale, shift)
+                np.greater(h, 0, out=h)  # the ReLU mask, as 1.0 / 0.0
+                g *= h
+                np.subtract(x, _channel(mu), out=h)
+                h *= _channel(inv_std)
+                gx, ggamma, gbeta = _bn_backward(g, h, scale, training)
+                del g
+                _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
             out._backward = _backward
         return out
 

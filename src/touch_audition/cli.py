@@ -62,12 +62,19 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     rows = read_manifest(args.manifest)
+    sources = [resolve_path(args.manifest, row) for row in rows]
+    stems = [os.path.splitext(os.path.basename(row.path))[0] + ".melf" for row in rows]
+    # Outputs are named after the clip's basename: refuse two different
+    # clips that would silently share one file.
+    owner: dict[str, str] = {}
+    for src, stem in zip(sources, stems):
+        src = os.path.abspath(src)
+        if owner.setdefault(stem, src) != src:
+            raise ManifestError(f"{owner[stem]} and {src} would both be featurized to {stem}")
     os.makedirs(args.out, exist_ok=True)
     new_rows = []
-    for row in rows:
-        feats = dsp.log_mel_spectrogram(dsp.load_wav(resolve_path(args.manifest, row)))
-        stem = os.path.splitext(os.path.basename(row.path))[0] + ".melf"
-        dsp.save_melf(os.path.join(args.out, stem), feats)
+    for row, src, stem in zip(rows, sources, stems):
+        dsp.save_melf(os.path.join(args.out, stem), dsp.log_mel_spectrogram(dsp.load_wav(src)))
         new_rows.append(replace(row, path=stem))
     out_manifest = os.path.join(args.out, "manifest.csv")
     write_manifest(out_manifest, new_rows)

@@ -229,13 +229,6 @@ def assign_splits(
     return [replace(r, split=assigned.get(id(r), "")) for r in rows]
 
 
-def split_counts(rows: list[ManifestRow]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for r in rows:
-        out[r.split or "(unassigned)"] = out.get(r.split or "(unassigned)", 0) + 1
-    return out
-
-
 FRAMES_PER_SECOND = 100          # 10 ms hop
 FULL_CLIP_SLACK = 3              # window-trim deficit tolerated for "use whole clip"
 

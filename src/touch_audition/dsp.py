@@ -136,11 +136,6 @@ def feature_stats(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return mean.astype(np.float32), std.astype(np.float32)
 
 
-def standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Apply per-bin (x - mean) / std."""
-    return ((features - mean) / std).astype(np.float32)
-
-
 def save_melf(path: str, features: np.ndarray) -> None:
     """Write a (T, F) float feature array in the MELF container.
 

@@ -66,6 +66,13 @@ class BatchNorm2d:
             training=training, momentum=self.momentum, eps=self.eps,
         )
 
+    def relu_pool(self, x: Tensor, training: bool) -> Tensor:
+        """This normalization, then ReLU, then 2x2 average pooling, fused."""
+        return x.bn_relu_pool(
+            self.gamma, self.beta, self.running_mean, self.running_var,
+            training=training, momentum=self.momentum, eps=self.eps,
+        )
+
     def parameters(self) -> dict[str, Tensor]:
         return {"gamma": self.gamma, "beta": self.beta}
 

@@ -1,10 +1,10 @@
 """Three-branch multi-temporal-resolution CNN (MTRCNN) and checkpoint I/O.
 
-Each branch runs three dilated conv blocks (conv -> batch norm -> ReLU ->
-2x2 average pool) at a fixed kernel size (3, 5, or 7) with time-axis
-dilations 1, 2, 3, then global average pooling and a 64-d embedding. Branch
-embeddings are concatenated (192-d), fused to 64-d, dropped out, and
-classified by a linear head.
+Each branch runs three dilated conv blocks (conv, then batch norm -> ReLU ->
+2x2 average pool as one fused op) at a fixed kernel size (3, 5, or 7) with
+time-axis dilations 1, 2, 3, then global average pooling and a 64-d
+embedding. Branch embeddings are concatenated (192-d), fused to 64-d,
+dropped out, and classified by a linear head.
 """
 
 from __future__ import annotations
@@ -97,10 +97,7 @@ class Branch:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = x
         for conv, bn in zip(self.convs, self.bns):
-            h = conv(h)
-            h = bn(h, training)
-            h = h.relu()
-            h = h.avg_pool2d()
+            h = bn.relu_pool(conv(h), training)
         h = h.mean_pool()
         return self.embed(h).relu()
 

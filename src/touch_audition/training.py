@@ -2,9 +2,11 @@
 
 Training follows the fixed recipe: Adam (lr 1e-3), batch 32, softmax
 cross-entropy, random crops re-drawn every epoch, validation after each
-epoch at the same crop length (center crop). All randomness flows from one
-seed through named SeedSequence children, so identical invocations produce
-bitwise-identical checkpoints and logs.
+epoch at the same crop length (center crop). A run keeps the weights of its
+best validation epoch (the first one, on ties): that is the model saved,
+tested and reported. All randomness flows from one seed through named
+SeedSequence children, so identical invocations produce bitwise-identical
+checkpoints and logs.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class EvalResult:
 class RunResult:
     run: int
     history: list[dict]
+    best_epoch: int  # the epoch whose weights were kept, saved and tested
     best_val_acc: float
     test: EvalResult | None
     checkpoint_path: str
@@ -155,6 +158,11 @@ def evaluate(
     return EvalResult(acc, confusion, n)
 
 
+def _state_arrays(model: Mtrcnn) -> dict[str, np.ndarray]:
+    """Every parameter and buffer array of `model`, by name."""
+    return {**{name: p.data for name, p in model.parameters().items()}, **model.buffers()}
+
+
 def train_run(
     train_features: list[np.ndarray],
     train_labels: np.ndarray,
@@ -165,7 +173,8 @@ def train_run(
     run_seed: int,
     log=None,
 ) -> tuple[Mtrcnn, list[dict]]:
-    """One training run; returns the model and the per-epoch history."""
+    """One training run; returns the model, with the weights of its best
+    validation epoch (the first one, on ties), and the per-epoch history."""
     from .optim import Adam
 
     init_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_INIT]))
@@ -182,6 +191,7 @@ def train_run(
     opt = Adam(list(model.parameters().values()), lr=settings.lr)
     crop_s = settings.crop()
     history: list[dict] = []
+    best_acc, best_state = 0.0, {}
     for epoch in range(1, settings.epochs + 1):
         t0 = time.perf_counter()
         total_loss, total_n = 0.0, 0
@@ -209,9 +219,15 @@ def train_run(
             "seconds": time.perf_counter() - t0,
         }
         history.append(entry)
+        if not best_state or val.accuracy > best_acc:
+            best_acc = val.accuracy
+            best_state = {name: a.copy() for name, a in _state_arrays(model).items()}
         if log:
             log(f"  epoch {epoch:3d}  loss {entry['train_loss']:.4f}  "
                 f"val_acc {entry['val_acc']:.4f}  ({entry['seconds']:.1f}s)")
+    arrays = _state_arrays(model)
+    for name, saved in best_state.items():
+        arrays[name][...] = saved
     return model, history
 
 
@@ -310,10 +326,12 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
                             length_s=settings.crop(), batch_size=settings.batch_size)
             save_confusion_csv(os.path.join(run_dir, "confusion.csv"), test.confusion, classes)
             save_confusion_pgm(os.path.join(run_dir, "confusion.pgm"), test.confusion)
-        best = max(h["val_acc"] for h in history)
-        summary.runs.append(RunResult(run, history, best, test, ckpt))
-        if log and test is not None:
-            log(f"  run {run}: best val {best:.4f}, test {test.accuracy:.4f}")
+        # The epoch train_run kept: the first with the best validation accuracy.
+        best = max(history, key=lambda h: h["val_acc"])
+        summary.runs.append(RunResult(run, history, best["epoch"], best["val_acc"], test, ckpt))
+        if log:
+            tested = f", test {test.accuracy:.4f}" if test is not None else ""
+            log(f"  run {run}: kept epoch {best['epoch']} (best val {best['val_acc']:.4f}){tested}")
 
     accs = summary.test_accuracies()
     if accs:
@@ -326,9 +344,9 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
             log(line)
         with open(os.path.join(settings.out_dir, "summary.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["run", "best_val_acc", "test_acc"])
+            writer.writerow(["run", "best_epoch", "best_val_acc", "test_acc"])
             for r in summary.runs:
-                writer.writerow([r.run, f"{r.best_val_acc:.6f}",
+                writer.writerow([r.run, r.best_epoch, f"{r.best_val_acc:.6f}",
                                  f"{r.test.accuracy:.6f}" if r.test else ""])
     return summary
 

@@ -77,6 +77,20 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation=(1, 1)) -
     return out
 
 
+def kink_free_bn_input(rng, shape, mean, std) -> np.ndarray:
+    """An (n, c, t, f) input, n even, for gradient checks through BN -> ReLU.
+
+    Per channel, the values come in +/- pairs across the two batch halves,
+    each 0.5..1.5 units of `std` from `mean`. Normalized by its batch
+    statistics (or by `mean` and `std` themselves) every value stays well away
+    from zero, so a small `beta` keeps the ReLU input off its kink.
+    """
+    n = shape[0]
+    half = rng.uniform(0.5, 1.5, (n // 2, *shape[1:])) * rng.choice([-1.0, 1.0], (n // 2, *shape[1:]))
+    units = np.concatenate([half, -half])
+    return np.reshape(mean, (1, -1, 1, 1)) + np.reshape(std, (1, -1, 1, 1)) * units
+
+
 def corrupted(valid: bytes, magic: bytes):
     """Byte strings from nothing like the format to one byte off a valid file."""
     at = st.integers(0, len(valid) - 1)

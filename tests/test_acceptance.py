@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import check_grads, dependency_footprint, naive_conv2d, rel_err
+from conftest import check_grads, dependency_footprint, kink_free_bn_input, naive_conv2d, rel_err
 
 from touch_audition.analysis import (
     branch_time_specs,
@@ -176,6 +176,8 @@ def test_criterion_05_gradients_and_conv_oracle():
 
     relu_in = rng.standard_normal((4, 5))
     relu_in += np.sign(relu_in) * 0.25  # keep samples away from the kink
+    # Its own generator, so the other cases draw the same data as before.
+    bn_rng = np.random.default_rng(43)
 
     cases = [
         ("add", lambda ts: (ts["a"] + ts["b"]).sum(),
@@ -225,6 +227,13 @@ def test_criterion_05_gradients_and_conv_oracle():
         ("cross_entropy",
          lambda ts: cross_entropy(ts["x"], np.array([1, 4, 0, 2])),
          {"x": rng.standard_normal((4, 6))}),
+        ("bn_relu_pool train",
+         lambda ts: (ts["x"].bn_relu_pool(ts["g"], ts["be"], np.zeros(2), np.ones(2),
+                                          training=True) * ts["c"]).sum(),
+         {"x": kink_free_bn_input(bn_rng, (4, 2, 5, 7), np.array([0.4, -1.1]),
+                                  np.array([1.3, 0.7])),
+          "g": bn_rng.uniform(0.5, 1.5, 2), "be": bn_rng.uniform(-0.1, 0.1, 2),
+          "c": bn_rng.standard_normal((4, 2, 2, 3))}),
     ]
 
     failures = []

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import check_grads, naive_conv2d, rel_err
+from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err
 
 from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
@@ -222,6 +222,23 @@ def test_conv2d_scratch_stays_under_cap(monkeypatch, chunk_sizes):
     assert peak < cap + inputs + out.data.nbytes + grads
 
 
+def test_conv2d_backward_holds_one_input_gradient():
+    # The input gradient is built once and stored as the leaf's grad, not
+    # added into a second, zeroed input-sized array.
+    x = Tensor(RNG.standard_normal((32, 4, 40, 40)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 4, 3, 3)))
+    loss = x.conv2d(w, Tensor(np.zeros(2))).sum()
+    out_bytes = 32 * 2 * 38 * 38 * 8  # out.grad
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 1.5 * x.data.nbytes
+
+
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((1, 2, 10, 10)))
     w = Tensor(np.zeros((4, 3, 3, 3)))
@@ -279,6 +296,95 @@ def test_batch_norm_eval_grads_and_running_stats():
             "c": RNG.standard_normal((2, 3, 3, 4)),
         },
     )
+
+
+def _gamma_beta(c, rng=RNG):
+    """BN affine parameters; beta stays small, so a `kink_free_bn_input`
+    keeps the ReLU input off zero."""
+    return rng.uniform(0.5, 1.5, c), rng.uniform(-0.1, 0.1, c)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_relu_pool_matches_unfused_composition(training):
+    n, c, t, f = 4, 3, 9, 7  # odd t and f: a trailing row and column are dropped
+    rng = np.random.default_rng(17)
+    start_mean = rng.standard_normal(c).astype(np.float32)
+    start_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    # Centred on the running statistics, so the ReLU clips whole windows in
+    # eval mode too.
+    x = Tensor((start_mean.reshape(1, -1, 1, 1)
+                + np.sqrt(start_var).reshape(1, -1, 1, 1) * rng.standard_normal((n, c, t, f))
+                ).astype(np.float32))
+    gamma, beta = (Tensor(v.astype(np.float32)) for v in _gamma_beta(c, rng))
+    bufs = [(start_mean.copy(), start_var.copy()) for _ in range(2)]
+    fused = x.bn_relu_pool(gamma, beta, *bufs[0], training=training)
+    ref = x.batch_norm(gamma, beta, *bufs[1], training=training).relu().avg_pool2d()
+    assert fused.data.dtype == np.float32
+    assert fused.data.shape == ref.data.shape == (n, c, 4, 3)
+    assert np.allclose(fused.data, ref.data, rtol=1e-5, atol=1e-6)
+    assert (fused.data > 0).any() and (fused.data == 0).any()
+    for got, want in zip(bufs[0], bufs[1]):
+        assert np.array_equal(got, want)
+    if not training:
+        assert np.array_equal(bufs[0][0], start_mean) and np.array_equal(bufs[0][1], start_var)
+
+
+def test_bn_relu_pool_training_grads():
+    n, c, t, f = 4, 2, 5, 7
+    mean, std = RNG.standard_normal(c), RNG.uniform(0.5, 2.0, c)
+    x = kink_free_bn_input(RNG, (n, c, t, f), mean, std)
+    gamma, beta = _gamma_beta(c)
+
+    def build(ts):
+        out = ts["x"].bn_relu_pool(ts["gamma"], ts["beta"], np.zeros(c), np.ones(c), training=True)
+        return (out * ts["c"]).sum()
+
+    # The ReLU input sits well off its kink, so finite differences are exact.
+    h = Tensor(x).batch_norm(Tensor(gamma), Tensor(beta), np.zeros(c), np.ones(c), training=True)
+    assert np.abs(h.data).min() > 0.1
+    check_grads(build, {"x": x, "gamma": gamma, "beta": beta,
+                        "c": RNG.standard_normal((n, c, t // 2, f // 2))})
+
+
+def test_bn_relu_pool_eval_grads():
+    n, c, t, f = 2, 3, 4, 5
+    rm, rv = RNG.standard_normal(c), RNG.uniform(0.5, 2.0, c)
+    x = kink_free_bn_input(RNG, (n, c, t, f), rm, np.sqrt(rv + 1e-5))
+    gamma, beta = _gamma_beta(c)
+
+    def build(ts):
+        out = ts["x"].bn_relu_pool(ts["gamma"], ts["beta"], rm.copy(), rv.copy(), training=False)
+        return (out * ts["c"]).sum()
+
+    check_grads(build, {"x": x, "gamma": gamma, "beta": beta,
+                        "c": RNG.standard_normal((n, c, t // 2, f // 2))})
+
+
+def _graph_bytes(block) -> tuple[int, int]:
+    """Bytes a conv -> `block` graph at batch 8 keeps alive after forward,
+    and the size of one full-size (conv output) array."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((8, 1, 60, 64)).astype(np.float32))
+    w = Tensor(rng.standard_normal((16, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(16, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    bufs = (np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = block(x.conv2d(w, b), gamma, beta, *bufs)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return kept, 8 * 16 * 58 * 62 * 4
+
+
+def test_bn_relu_pool_graph_keeps_one_full_size_array():
+    kept, full = _graph_bytes(lambda h, g, b, rm, rv: h.bn_relu_pool(g, b, rm, rv, training=True))
+    # The conv output plus the quarter-size pooled output and a few vectors.
+    assert kept < 1.5 * full
 
 
 def test_dropout_grads_and_scaling():
@@ -386,6 +492,26 @@ def test_grad_accumulates_over_reuse():
     out = (a * a) + a  # d/da = 2a + 1 = 5
     out.sum().backward()
     assert a.grad[0] == pytest.approx(5.0)
+
+
+def test_accumulate_keeps_aliased_gradients_apart():
+    # `__add__` hands the same array to both parents, so the first gradient
+    # a leaf stores can be another leaf's gradient as well.
+    a = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+    c = RNG.standard_normal((3, 4))
+
+    def loss():
+        return (((a + b) + a) * Tensor(c)).sum()
+
+    loss().backward()
+    assert np.array_equal(a.grad, c + c)
+    assert np.array_equal(b.grad, c)
+    first_a, first_b = a.grad, b.grad
+    loss().backward()  # no zero_grad: gradients add up
+    assert np.array_equal(a.grad, (c + c) + (c + c))
+    assert np.array_equal(b.grad, c + c)
+    assert np.array_equal(first_a, c + c) and np.array_equal(first_b, c)
 
 
 def test_adam_first_step_hand_value():

@@ -4,13 +4,15 @@ error-exit contract (usage errors 2, domain errors 1 with a one-line stderr)."""
 from __future__ import annotations
 
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from touch_audition import dsp
 from touch_audition.cli import main
-from touch_audition.data import GESTURES, read_manifest
+from touch_audition.data import GESTURES, read_manifest, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,21 @@ def test_featurize_manifest(tiny_corpus, tmp_path, capsys):
     assert all(r.path.endswith(".melf") for r in rows)
     feats = dsp.load_melf(os.path.join(out, rows[0].path))
     assert feats.shape == (997, 64)
+
+
+def test_featurize_manifest_rejects_colliding_basenames(tiny_corpus, tmp_path, capsys):
+    corpus = os.path.dirname(tiny_corpus)
+    rows = read_manifest(tiny_corpus)[:2]
+    for sub, row in zip("ab", rows):
+        os.makedirs(tmp_path / sub)
+        shutil.copy(os.path.join(corpus, row.path), tmp_path / sub / "x.wav")
+    manifest = str(tmp_path / "manifest.csv")
+    write_manifest(manifest, [replace(r, path=f"{sub}/x.wav") for sub, r in zip("ab", rows)])
+    out = tmp_path / "feats"
+    assert main(["featurize", "--manifest", manifest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x.melf" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_featurize_requires_one_input(tmp_path, capsys):

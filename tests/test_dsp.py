@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from touch_audition import dsp
 from touch_audition.errors import AudioFormatError, InputTooShortError, TouchAuditionError
+from touch_audition.model import ModelConfig, Mtrcnn
 
 
 def test_wav_round_trip(tmp_path):
@@ -162,12 +163,21 @@ def test_hamming_window_is_symmetric_numpy():
     assert np.allclose(w, w[::-1])
 
 
+def _normalizer(mean: np.ndarray, std: np.ndarray) -> Mtrcnn:
+    """A model carrying these feature statistics, as training fits them."""
+    model = Mtrcnn(ModelConfig())
+    model.feature_mean[...] = mean
+    model.feature_std[...] = std
+    return model
+
+
 def test_feature_stats_and_standardize():
     rng = np.random.default_rng(3)
     feats = [rng.normal(5.0, 2.0, size=(100, 64)) for _ in range(4)]
     mean, std = dsp.feature_stats(feats)
     assert mean.shape == (64,) and std.shape == (64,)
-    stacked = np.concatenate([dsp.standardize(f, mean, std) for f in feats])
+    model = _normalizer(mean, std)
+    stacked = np.concatenate([model.normalize(f) for f in feats])
     assert np.abs(stacked.mean(axis=0)).max() < 1e-3
     assert np.abs(stacked.std(axis=0) - 1.0).max() < 1e-3
 
@@ -176,7 +186,7 @@ def test_feature_stats_floors_constant_bins():
     feats = [np.ones((50, 64))]
     mean, std = dsp.feature_stats(feats)
     assert np.all(std >= 1e-6)
-    out = dsp.standardize(feats[0], mean, std)
+    out = _normalizer(mean, std).normalize(feats[0])
     assert np.all(np.isfinite(out))
 
 

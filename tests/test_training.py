@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from touch_audition import dsp
+from touch_audition import dsp, training
 from touch_audition.data import read_manifest, assign_splits, write_manifest
 from touch_audition.errors import ManifestError
 from touch_audition.model import Mtrcnn, ModelConfig, load_checkpoint
@@ -88,6 +88,7 @@ def test_run_training_artifacts(tiny_corpus, tmp_path):
         assert np.isfinite(h["train_loss"])
         assert 0.0 <= h["val_acc"] <= 1.0
     assert run.best_val_acc == max(h["val_acc"] for h in run.history)
+    assert run.history[run.best_epoch - 1]["val_acc"] == run.best_val_acc
 
     run_dir = os.path.join(out, "run0")
     model = load_checkpoint(os.path.join(run_dir, "model.ckpt"))
@@ -112,8 +113,41 @@ def test_run_training_artifacts(tiny_corpus, tmp_path):
 
     with open(os.path.join(out, "summary.csv")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "run,best_val_acc,test_acc"
+    assert lines[0] == "run,best_epoch,best_val_acc,test_acc"
     assert len(lines) == 2
+    assert lines[1].split(",")[:2] == ["0", str(run.best_epoch)]
+
+
+def _scripted_val_accuracy(monkeypatch, accuracies):
+    """Make the first len(accuracies) `evaluate` calls (one validation per
+    epoch) report these accuracies; later calls (the test split) are real."""
+    real = training.evaluate
+    script = iter(accuracies)
+
+    def scripted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        acc = next(script, None)
+        return res if acc is None else replace(res, accuracy=acc)
+
+    monkeypatch.setattr(training, "evaluate", scripted)
+
+
+def test_run_training_keeps_the_best_validation_epoch(tiny_corpus, tmp_path, monkeypatch):
+    # Epoch 2 validates best; a 3-epoch run must save, test and report the
+    # same model as a run stopped after epoch 2.
+    results = {}
+    for epochs, accuracies in ((3, [0.5, 0.9, 0.4]), (2, [0.5, 0.9])):
+        out = str(tmp_path / f"e{epochs}")
+        _scripted_val_accuracy(monkeypatch, accuracies)
+        summary = run_training(tiny_corpus, smoke_settings(out, epochs=epochs), log=None)
+        with open(os.path.join(out, "run0", "model.ckpt"), "rb") as fh:
+            results[epochs] = (summary.runs[0], fh.read())
+    (three, ckpt3), (two, ckpt2) = results[3], results[2]
+    assert ckpt3 == ckpt2
+    assert np.array_equal(three.test.confusion, two.test.confusion)
+    assert (three.best_epoch, three.best_val_acc) == (two.best_epoch, two.best_val_acc) == (2, 0.9)
+    with open(str(tmp_path / "e3" / "summary.csv")) as fh:
+        assert fh.read().splitlines()[1].split(",")[:3] == ["0", "2", "0.900000"]
 
 
 def test_run_training_persists_split_manifest(tiny_corpus, tmp_path):
