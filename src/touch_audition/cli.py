@@ -3,13 +3,18 @@
 Subcommands: synth, featurize, train, eval, sweep, analyze, infer.
 Usage errors exit with code 2 (argparse); domain errors (bad audio, short
 input, malformed manifests/checkpoints) print one line to stderr and exit 1.
+Lengths in seconds (--length, --lengths, --crop-s) must be positive and
+finite; anything else is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,10 +22,10 @@ from . import dsp
 from .analysis import build_report
 from .data import (
     TASK_CLASSES,
+    class_index,
     read_manifest,
     resolve_path,
     rows_for_task,
-    task_label,
     write_manifest,
 )
 from .errors import ManifestError, TouchAuditionError
@@ -59,8 +64,6 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         dsp.save_melf(args.out, feats)
         print(f"{args.wav}: {feats.shape[0]} frames x {feats.shape[1]} mel bins -> {args.out}")
         return 0
-    from dataclasses import replace
-
     rows = read_manifest(args.manifest)
     sources = [resolve_path(args.manifest, row) for row in rows]
     stems = [os.path.splitext(os.path.basename(row.path))[0] + ".melf" for row in rows]
@@ -112,26 +115,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _select_rows(manifest: str, task: str, split: str):
-    rows = rows_for_task(read_manifest(manifest), task)
-    if split:
-        rows = [r for r in rows if r.split == split]
+def _load_eval_set(args: argparse.Namespace):
+    """The checkpoint's model, its class names, and the features and labels
+    of the manifest rows of its task in the chosen split ('' = all)."""
+    model = load_checkpoint(args.checkpoint)
+    task = model.config.task
+    rows = rows_for_task(read_manifest(args.manifest), task)
+    if args.split:
+        rows = [r for r in rows if r.split == args.split]
     if not rows:
-        raise ManifestError(f"no rows for task {task!r} with split {split!r}")
-    return rows
+        raise ManifestError(f"no rows for task {task!r} with split {args.split!r}")
+    feats = featurize_rows(args.manifest, rows)
+    labels = np.array([class_index(r, task) for r in rows], dtype=np.int64)
+    return model, TASK_CLASSES[task], feats, labels
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model = load_checkpoint(args.checkpoint)
-    task = model.config.task
-    classes = TASK_CLASSES[task]
-    rows = _select_rows(args.manifest, task, args.split)
-    feats = featurize_rows(args.manifest, rows)
-    labels = np.array([classes.index(task_label(r, task)) for r in rows], dtype=np.int64)
-    length = None if args.length in (None, "full") else float(args.length)
-    res = evaluate(model, feats, labels, len(classes), length_s=length)
-    shown = "full clips" if length is None else f"{length:g} s center crops"
-    print(f"{task}: accuracy {res.accuracy * 100:.2f} % on {res.n} clips ({shown})")
+    model, classes, feats, labels = _load_eval_set(args)
+    res = evaluate(model, feats, labels, len(classes), length_s=args.length)
+    shown = "full clips" if args.length is None else f"{args.length:g} s center crops"
+    print(f"{model.config.task}: accuracy {res.accuracy * 100:.2f} % on {res.n} clips ({shown})")
     recalls = res.confusion.diagonal() / np.maximum(res.confusion.sum(axis=1), 1)
     for name, recall in zip(classes, recalls):
         print(f"  {name}: {recall * 100:.1f} %")
@@ -142,23 +145,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    model = load_checkpoint(args.checkpoint)
-    task = model.config.task
-    classes = TASK_CLASSES[task]
-    rows = _select_rows(args.manifest, task, args.split)
-    feats = featurize_rows(args.manifest, rows)
-    labels = np.array([classes.index(task_label(r, task)) for r in rows], dtype=np.int64)
-    lengths = tuple(float(s) for s in args.lengths.split(","))
-    results = length_sweep(model, feats, labels, len(classes), lengths_s=lengths)
-    print(f"{task}: accuracy by evaluation length ({len(rows)} clips)")
+    model, classes, feats, labels = _load_eval_set(args)
+    results = length_sweep(model, feats, labels, len(classes), lengths_s=args.lengths)
+    print(f"{model.config.task}: accuracy by evaluation length ({len(feats)} clips)")
     for length, acc in results:
         shown = "n/a (below minimum length)" if acc is None else f"{acc * 100:6.2f} %"
         print(f"  {length:4.1f} s  {shown}")
     if args.out:
-        import csv as _csv
-
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["length_s", "accuracy"])
             for length, acc in results:
                 writer.writerow([length, "" if acc is None else f"{acc:.6f}"])
@@ -187,6 +182,25 @@ def cmd_infer(args: argparse.Namespace) -> int:
     for i in order:
         print(f"  {classes[i]}: {probs[0][i]:.3f}")
     return 0
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a length in seconds: a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive, finite number of seconds, got {text!r}")
+    return value
+
+
+def _length_or_full(text: str) -> float | None:
+    return None if text == "full" else _seconds(text)
+
+
+def _length_list(text: str) -> tuple[float, ...]:
+    return tuple(_seconds(s) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100, help="training epochs (default 100)")
     p.add_argument("--batch-size", type=int, default=32, help="batch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--crop-s", type=float, default=None,
+    p.add_argument("--crop-s", type=_seconds, default=None,
                    help="training crop seconds (default 6 for gesture, 7 otherwise)")
     p.add_argument("--splits", default=None,
                    help="train,val,test totals (default 366,42,84 gesture / 660,80,100 emotion)")
@@ -231,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test", help="split to evaluate (default test; '' = all)")
-    p.add_argument("--length", default=None,
+    p.add_argument("--length", type=_length_or_full, default=None,
                    help="evaluation length in seconds, or 'full' (default full clips)")
     p.add_argument("--out", default=None, help="write confusion matrix CSV here")
     p.set_defaults(func=cmd_eval)
@@ -240,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test", help="split to evaluate (default test)")
-    p.add_argument("--lengths", default="1,2,3,4,5,6,7,8,9,10",
+    p.add_argument("--lengths", type=_length_list, default="1,2,3,4,5,6,7,8,9,10",
                    help="comma-separated seconds (default 1..10)")
     p.add_argument("--out", default=None, help="write sweep CSV here")
     p.set_defaults(func=cmd_sweep)

@@ -99,18 +99,21 @@ def rows_for_task(rows: list[ManifestRow], task: str) -> list[ManifestRow]:
 
 def read_manifest(path: str) -> list[ManifestRow]:
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise ManifestError(f"cannot open manifest {path}: {e}") from e
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            records = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ManifestError(f"{path}: not a UTF-8 CSV file ({e})") from e
+        header = records[0] if records else None
         if header != MANIFEST_HEADER:
             raise ManifestError(
                 f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}"
             )
         rows = []
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in enumerate(records[1:], start=2):
             if not rec:
                 continue
             if len(rec) != len(MANIFEST_HEADER):
@@ -128,7 +131,7 @@ def read_manifest(path: str) -> list[ManifestRow]:
 
 
 def write_manifest(path: str, rows: list[ManifestRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for r in rows:
@@ -158,9 +161,10 @@ def assign_splits(
     round-robin over a seeded shuffle of the label list. Clips beyond a
     label's quota keep split="" (unassigned), which is how e.g.
     366+42+84 = 492 clips can be drawn from a larger pool. With
-    by_participant=True, whole participants are assigned greedily to splits
-    (no participant straddles a split boundary); exact totals are then only
-    honored as closely as participant group sizes allow.
+    by_participant=True, each participant's clips of the task all go to one
+    split (no participant straddles a split boundary), chosen greedily over
+    a seeded shuffle of the participants; exact totals are then only honored
+    as closely as participant group sizes allow.
     """
     classes = GESTURES if task == "gesture" else EMOTIONS
     targets = rows_for_task(rows, task)
@@ -199,23 +203,25 @@ def assign_splits(
     split_names = ("train", "val", "test")
     assigned: dict[int, str] = {}
     if by_participant:
-        for cls in classes:
-            cls_rows = [r for r in targets if r.label == cls]
-            by_part: dict[str, list[ManifestRow]] = {}
-            for r in cls_rows:
+        by_part: dict[str, list[ManifestRow]] = {}
+        for r in targets:
+            if r.label in quotas:
                 by_part.setdefault(r.participant, []).append(r)
-            parts = sorted(by_part)
-            rng.shuffle(parts)
-            remaining = quotas[cls][:]
-            for part in parts:
-                group = by_part[part]
-                # Put the whole participant where the unmet need is largest.
-                s = max(range(3), key=lambda i: remaining[i])
-                if remaining[s] <= 0:
-                    continue
-                for r in group:
-                    assigned[id(r)] = split_names[s]
-                remaining[s] -= len(group)
+        parts = sorted(by_part)
+        rng.shuffle(parts)
+        for part in parts:
+            group = by_part[part]
+            # Put all of the participant's clips in the split whose unmet
+            # per-class quotas they fill best; none left means unassigned.
+            labels = [r.label for r in group]
+            fill = [sum(min(labels.count(c), max(quotas[c][s], 0)) for c in set(labels))
+                    for s in range(3)]
+            s = max(range(3), key=lambda i: fill[i])
+            if fill[s] == 0:
+                continue
+            for r in group:
+                assigned[id(r)] = split_names[s]
+                quotas[r.label][s] -= 1
     else:
         for cls in classes:
             cls_rows = [r for r in targets if r.label == cls]

@@ -37,7 +37,9 @@ def load_wav(path: str) -> np.ndarray:
             width = w.getsampwidth()
             rate = w.getframerate()
             raw = w.readframes(w.getnframes())
-    except (wave.Error, EOFError) as e:
+    # OSError: missing or unreadable file; RuntimeError: a chunk header cut
+    # short (raised by the chunk reader's seek).
+    except (OSError, wave.Error, EOFError, RuntimeError) as e:
         raise AudioFormatError(f"{path}: not a readable WAV file ({e})") from e
     if width != 2:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
@@ -45,6 +47,8 @@ def load_wav(path: str) -> np.ndarray:
         raise AudioFormatError(f"{path}: expected mono, got {nchan} channels")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
 
 
@@ -153,7 +157,11 @@ def save_melf(path: str, features: np.ndarray) -> None:
 
 def load_melf(path: str) -> np.ndarray:
     """Read a MELF file back into a (T, F) float32 array."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise AudioFormatError(f"cannot open MELF file {path}: {e}") from e
+    with fh:
         magic = fh.read(4)
         if magic != MELF_MAGIC:
             raise AudioFormatError(f"{path}: bad MELF magic {magic!r}")

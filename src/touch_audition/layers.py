@@ -1,4 +1,5 @@
-"""Parameterized layers built on the autograd Tensor.
+"""Parameterized layers built on the autograd Tensor, and the one walk that
+names their state.
 
 Initialization is Kaiming-uniform on fan-in (bound sqrt(6 / fan_in)) with
 zero biases; batch-norm starts at identity (gamma 1, beta 0).
@@ -6,9 +7,28 @@ zero biases; batch-norm starts at identity (gamma 1, beta 0).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .autograd import Tensor
+
+
+class Layer:
+    """Marks an object whose attributes `named_state` walks."""
+
+
+def named_state(layer: Layer, prefix: str = "") -> Iterator[tuple[str, Tensor | np.ndarray]]:
+    """Every parameter (a Tensor attribute) and buffer (an ndarray attribute)
+    under `layer`, named by its dotted attribute path, in the order the
+    attributes were set. Nested layers are walked; anything else (lists,
+    configs, numbers) is skipped. Checkpoints store the state in this order.
+    """
+    for name, value in vars(layer).items():
+        if isinstance(value, (Tensor, np.ndarray)):
+            yield prefix + name, value
+        elif isinstance(value, Layer):
+            yield from named_state(value, f"{prefix}{name}.")
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -16,7 +36,7 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: i
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-class Conv2d:
+class Conv2d(Layer):
     """Valid stride-1 2-D convolution with per-axis dilation."""
 
     def __init__(
@@ -41,14 +61,8 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return x.conv2d(self.weight, self.bias, self.dilation)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
-
-
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     """Per-channel batch normalization with running statistics."""
 
     def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -73,14 +87,8 @@ class BatchNorm2d:
             training=training, momentum=self.momentum, eps=self.eps,
         )
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-
-class Dense:
+class Dense(Layer):
     """Fully connected layer: y = x @ W + b, W shaped (in, out)."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -94,9 +102,3 @@ class Dense:
 
     def __call__(self, x: Tensor) -> Tensor:
         return x.matmul(self.weight) + self.bias
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autograd import Tensor, concat, no_grad, softmax
 from .errors import CheckpointFormatError, InputTooShortError
-from .layers import BatchNorm2d, Conv2d, Dense
+from .layers import BatchNorm2d, Conv2d, Dense, Layer, named_state
 
 CHECKPOINT_MAGIC = b"MTRC"
 CHECKPOINT_VERSION = 1
@@ -73,6 +73,7 @@ class ModelConfig:
                  *config.kernel_sizes, *config.filters, *sum(config.dilations, ()))
         if (
             min(sizes) < 1
+            or len(set(config.kernel_sizes)) != len(config.kernel_sizes)  # one branch{k} each
             or len(config.dilations) != len(config.filters)
             or any(len(pair) != 2 for pair in config.dilations)
             or not 0.0 <= config.dropout < 1.0
@@ -81,17 +82,20 @@ class ModelConfig:
         return config
 
 
-class Branch:
+class Branch(Layer):
     """One temporal-resolution branch: 3 conv blocks + GAP + embedding."""
 
     def __init__(self, config: ModelConfig, kernel_size: int, rng: np.random.Generator):
         self.kernel_size = kernel_size
         chans = (1,) + tuple(config.filters)
-        self.convs = [
-            Conv2d(chans[i], chans[i + 1], kernel_size, config.dilations[i], rng)
-            for i in range(len(config.filters))
-        ]
-        self.bns = [BatchNorm2d(c) for c in config.filters]
+        # Block i is also set as attributes conv{i} and bn{i}, which is how
+        # named_state names it; batch norm draws nothing from rng.
+        self.convs, self.bns = [], []
+        for i, (c_in, c_out) in enumerate(zip(chans, chans[1:]), start=1):
+            self.convs.append(Conv2d(c_in, c_out, kernel_size, config.dilations[i - 1], rng))
+            self.bns.append(BatchNorm2d(c_out))
+            setattr(self, f"conv{i}", self.convs[-1])
+            setattr(self, f"bn{i}", self.bns[-1])
         self.embed = Dense(config.filters[-1], config.embed_dim, rng)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
@@ -102,7 +106,7 @@ class Branch:
         return self.embed(h).relu()
 
 
-class Mtrcnn:
+class Mtrcnn(Layer):
     """The full multi-branch model. Input: (n, 1, T, n_mels) float32."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
@@ -111,7 +115,10 @@ class Mtrcnn:
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
-        self.branches = [Branch(config, k, rng) for k in config.kernel_sizes]
+        self.branches = []
+        for k in config.kernel_sizes:
+            self.branches.append(Branch(config, k, rng))
+            setattr(self, f"branch{k}", self.branches[-1])
         self.fusion = Dense(config.embed_dim * len(config.kernel_sizes), config.embed_dim, rng)
         self.head = Dense(config.embed_dim, config.n_classes, rng)
         self.min_frames = min_input_frames(config)
@@ -155,35 +162,11 @@ class Mtrcnn:
         """Apply the stored per-bin feature standardization."""
         return ((features - self.feature_mean) / self.feature_std).astype(np.float32)
 
-    # -- parameter / buffer registry ----------------------------------------
-
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for branch in self.branches:
-            prefix = f"branch{branch.kernel_size}"
-            for i, (conv, bn) in enumerate(zip(branch.convs, branch.bns), start=1):
-                for name, p in conv.parameters().items():
-                    out[f"{prefix}.conv{i}.{name}"] = p
-                for name, p in bn.parameters().items():
-                    out[f"{prefix}.bn{i}.{name}"] = p
-            for name, p in branch.embed.parameters().items():
-                out[f"{prefix}.embed.{name}"] = p
-        for name, p in self.fusion.parameters().items():
-            out[f"fusion.{name}"] = p
-        for name, p in self.head.parameters().items():
-            out[f"head.{name}"] = p
-        return out
+        return {name: v for name, v in named_state(self) if isinstance(v, Tensor)}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for branch in self.branches:
-            prefix = f"branch{branch.kernel_size}"
-            for i, bn in enumerate(branch.bns, start=1):
-                for name, b in bn.buffers().items():
-                    out[f"{prefix}.bn{i}.{name}"] = b
-        out["feature_mean"] = self.feature_mean
-        out["feature_std"] = self.feature_std
-        return out
+        return {name: v for name, v in named_state(self) if isinstance(v, np.ndarray)}
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
@@ -225,8 +208,11 @@ def load_checkpoint(path: str) -> Mtrcnn:
     """
     from .analysis import count_params  # local import; analysis imports this module
 
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {data[:4]!r}")
     loaded: dict[str, np.ndarray] = {}

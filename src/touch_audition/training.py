@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dsp
-from .autograd import cross_entropy, no_grad
+from .autograd import Tensor, cross_entropy, no_grad
 from .data import (
     TASK_CLASSES,
     DEFAULT_SPLITS,
@@ -36,6 +35,7 @@ from .data import (
     write_manifest,
 )
 from .errors import ManifestError, TrainingDivergedError
+from .layers import named_state
 from .model import ModelConfig, Mtrcnn, save_checkpoint
 from .stats import shapiro_wilk
 
@@ -158,11 +158,6 @@ def evaluate(
     return EvalResult(acc, confusion, n)
 
 
-def _state_arrays(model: Mtrcnn) -> dict[str, np.ndarray]:
-    """Every parameter and buffer array of `model`, by name."""
-    return {**{name: p.data for name, p in model.parameters().items()}, **model.buffers()}
-
-
 def train_run(
     train_features: list[np.ndarray],
     train_labels: np.ndarray,
@@ -189,9 +184,11 @@ def train_run(
     train_std = [model.normalize(f) for f in train_features]
 
     opt = Adam(list(model.parameters().values()), lr=settings.lr)
+    # Every parameter and buffer array; Adam and batch norm update them in place.
+    state = [v.data if isinstance(v, Tensor) else v for _, v in named_state(model)]
     crop_s = settings.crop()
     history: list[dict] = []
-    best_acc, best_state = 0.0, {}
+    best_acc, best_state = 0.0, []
     for epoch in range(1, settings.epochs + 1):
         t0 = time.perf_counter()
         total_loss, total_n = 0.0, 0
@@ -221,13 +218,12 @@ def train_run(
         history.append(entry)
         if not best_state or val.accuracy > best_acc:
             best_acc = val.accuracy
-            best_state = {name: a.copy() for name, a in _state_arrays(model).items()}
+            best_state = [a.copy() for a in state]
         if log:
             log(f"  epoch {epoch:3d}  loss {entry['train_loss']:.4f}  "
                 f"val_acc {entry['val_acc']:.4f}  ({entry['seconds']:.1f}s)")
-    arrays = _state_arrays(model)
-    for name, saved in best_state.items():
-        arrays[name][...] = saved
+    for a, saved in zip(state, best_state):
+        a[...] = saved
     return model, history
 
 
@@ -359,21 +355,11 @@ def length_sweep(
     lengths_s: tuple[float, ...] = tuple(float(s) for s in range(1, 11)),
     batch_size: int = 32,
 ) -> list[tuple[float, float | None]]:
-    """Accuracy per evaluation length; None where below the minimum length.
-
-    TOUCH_AUDITION_THREADS caps the worker pool (default 1 = serial).
-    """
-    def one(length: float) -> tuple[float, float | None]:
+    """Accuracy per evaluation length; None where below the minimum length."""
+    def accuracy(length: float) -> float | None:
         if target_frames(length) < model.min_frames:
-            return length, None
-        res = evaluate(model, features, labels, n_classes,
-                       length_s=length, batch_size=batch_size)
-        return length, res.accuracy
+            return None
+        return evaluate(model, features, labels, n_classes,
+                        length_s=length, batch_size=batch_size).accuracy
 
-    workers = max(1, int(os.environ.get("TOUCH_AUDITION_THREADS", "1")))
-    if workers == 1:
-        results = [one(s) for s in lengths_s]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, lengths_s))
-    return results
+    return [(length, accuracy(length)) for length in lengths_s]

@@ -143,6 +143,17 @@ def test_infer_labels_a_clip(trained, capsys):
     assert len(lines) == 7  # prediction + one probability line per class
 
 
+def test_missing_input_files_exit_1_with_one_line(trained, tmp_path, capsys):
+    missing = str(tmp_path / "nope")
+    for argv in (
+        ["infer", "--checkpoint", trained["ckpt"], "--wav", missing + ".wav"],
+        ["eval", "--checkpoint", missing + ".ckpt", "--manifest", trained["manifest"]],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err and err.count("\n") == 1
+
+
 def test_infer_rejects_short_clip(trained, tmp_path, capsys):
     wav = str(tmp_path / "short.wav")
     dsp.save_wav(wav, np.zeros(8000, dtype=np.float32))  # 0.5 s
@@ -165,13 +176,28 @@ def test_train_stops_on_non_finite_loss(tiny_corpus, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "run0", "model.ckpt"))
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(trained, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
         main(["synth"])  # missing required --out
     assert e.value.code == 2
+    # Lengths in seconds must be positive and finite.
+    ckpt = ["--checkpoint", trained["ckpt"], "--manifest", trained["manifest"], "--split", ""]
+    for argv in (
+        ["eval", *ckpt, "--length", "abc"],
+        ["eval", *ckpt, "--length", "nan"],
+        ["eval", *ckpt, "--length", "inf"],
+        ["eval", *ckpt, "--length", "0"],
+        ["sweep", *ckpt, "--lengths", "1,x"],
+        ["sweep", *ckpt, "--lengths", "2,-1"],
+        ["train", "--manifest", trained["manifest"], "--out", str(tmp_path),
+         "--splits", "12,3,3", "--crop-s", "nan"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
     capsys.readouterr()
 
 

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from conftest import corrupted
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from touch_audition import dsp
 from touch_audition.data import (
     AROUSAL_CLASSES,
     DEFAULT_SPLITS,
     EMOTION_QUADRANT,
     EMOTIONS,
+    FULL_CLIP_SLACK,
     GESTURES,
+    MANIFEST_HEADER,
     QUADRANT_CLASSES,
     TASK_CLASSES,
     VALENCE_CLASSES,
@@ -23,7 +29,7 @@ from touch_audition.data import (
     task_label,
     write_manifest,
 )
-from touch_audition.errors import InputTooShortError, ManifestError
+from touch_audition.errors import InputTooShortError, ManifestError, TouchAuditionError
 
 RNG = np.random.default_rng(31)
 
@@ -93,6 +99,33 @@ def test_manifest_rejects_malformed(tmp_path):
         read_manifest(path)
     with pytest.raises(ManifestError):
         read_manifest(str(tmp_path / "missing.csv"))
+    with open(path, "wb") as fh:
+        fh.write(b"path,participant,round,task,label,split\n\xff.wav,p0,1,gesture,tap,\n")
+    with pytest.raises(ManifestError, match="UTF-8"):
+        read_manifest(path)
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "manifest.csv")
+    write_manifest(path, [ManifestRow("a.wav", "p0", 1, "gesture", "tap", "train"),
+                          ManifestRow("b.wav", "p1", 2, "emotion", "fear", "")])
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_manifest_reader_never_leaks_raw_errors(small_manifest, data):
+    path, valid = small_manifest
+    fuzz = path + ".fuzz"
+    with open(fuzz, "wb") as fh:
+        fh.write(data.draw(corrupted(valid, ",".join(MANIFEST_HEADER).encode() + b"\r\n")))
+    try:
+        rows = read_manifest(fuzz)
+    except TouchAuditionError:
+        return
+    assert all(isinstance(r, ManifestRow) for r in rows)
 
 
 def _gesture_rows(per_class: int) -> list[ManifestRow]:
@@ -164,6 +197,44 @@ def test_split_by_participant_keeps_groups_whole():
         assert len(splits) == 1, f"{part} straddles {splits} for {label}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    per_class=st.lists(st.integers(0, 12), min_size=len(GESTURES), max_size=len(GESTURES)),
+    counts=st.tuples(st.integers(0, 40), st.integers(0, 15), st.integers(0, 15)),
+    n_participants=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_split_invariants_property(per_class, counts, n_participants, seed):
+    rows = [ManifestRow(f"{label}_{i}.wav", f"p{i % n_participants}", 1, "gesture", label)
+            for label, n in zip(GESTURES, per_class) for i in range(n)]
+    if not rows:
+        return
+    # Exact quotas: each split gets exactly its total, spread over the
+    # classes within one clip of each other, or the request is refused.
+    try:
+        out = assign_splits(rows, "gesture", counts, seed)
+    except ManifestError:
+        # A class can be asked for at most one more than an even share per split.
+        most = sum(-(-total // len(GESTURES)) for total in counts)
+        assert sum(counts) > len(rows) or min(per_class) < most
+    else:
+        for s, name in enumerate(("train", "val", "test")):
+            got = [sum(1 for r in out if r.label == c and r.split == name) for c in GESTURES]
+            assert sum(got) == counts[s]
+            assert max(got) - min(got) <= 1
+    # By participant: nobody's clips land in two splits.
+    try:
+        out = assign_splits(rows, "gesture", counts, seed, by_participant=True)
+    except ManifestError:
+        assert sum(counts) > len(rows)
+        return
+    splits: dict[str, set[str]] = {}
+    for r in out:
+        if r.split:
+            splits.setdefault(r.participant, set()).add(r.split)
+    assert all(len(s) == 1 for s in splits.values()), splits
+
+
 def test_emotion_default_split_counts():
     rows = []
     for label in EMOTIONS:
@@ -233,6 +304,36 @@ def test_crop_random_start_range_is_inclusive():
     lo_rng = StubRng(0)
     out = crop_frames(feats, 2.0, "random", lo_rng)
     assert out[0, 0] == 0 and out[-1, 0] == 199
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_samples=st.integers(dsp.WIN_LENGTH, 20 * dsp.SAMPLE_RATE),
+    length_s=st.floats(0.01, 20.0),
+    mode=st.sampled_from(["center", "random"]),
+)
+def test_crop_frame_accounting_property(n_samples, length_s, mode):
+    t = dsp.num_frames(n_samples)
+    feats = np.arange(t, dtype=np.float32)[:, None]
+    n = target_frames(length_s)
+    if t < n - FULL_CLIP_SLACK:
+        with pytest.raises(InputTooShortError):
+            crop_frames(feats, length_s, mode, np.random.default_rng(0))
+        return
+    out = crop_frames(feats, length_s, mode, np.random.default_rng(0))
+    assert out.shape[0] == (n if t >= n else t)
+    assert np.array_equal(out[:, 0], np.arange(out[0, 0], out[0, 0] + out.shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_s=st.floats(dsp.WIN_LENGTH / dsp.SAMPLE_RATE, 20.0))
+def test_clip_of_any_length_crops_to_itself(length_s):
+    # The analysis window trims a clip of L seconds to 2-3 frames short of
+    # target_frames(L); the slack exists so such a clip is used whole.
+    t = dsp.num_frames(round(length_s * dsp.SAMPLE_RATE))
+    assert 0 < target_frames(length_s) - t <= FULL_CLIP_SLACK
+    feats = np.zeros((t, 1), dtype=np.float32)
+    assert crop_frames(feats, length_s, "center").shape[0] == t
 
 
 def test_crop_too_short_and_full_mode():

@@ -58,6 +58,43 @@ def test_load_wav_rejects_bad_formats(tmp_path):
     with pytest.raises(AudioFormatError):
         dsp.load_wav(not_wav)
 
+    good = str(tmp_path / "good.wav")
+    dsp.save_wav(good, np.zeros(40))
+    raw = open(good, "rb").read()
+    for name, blob in [
+        ("odd", raw[:-1]),                            # data chunk ends inside a sample
+        ("fmt_size", raw[:16] + b"\x18" + raw[17:]),  # fmt chunk runs past the RIFF chunk
+    ]:
+        bad = str(tmp_path / f"{name}.wav")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(AudioFormatError):
+            dsp.load_wav(bad)
+    with pytest.raises(AudioFormatError):
+        dsp.load_wav(str(tmp_path / "missing.wav"))
+
+
+@pytest.fixture(scope="module")
+def small_wav(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "small.wav")
+    dsp.save_wav(path, np.linspace(-0.5, 0.5, 40))
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wav_reader_never_leaks_raw_errors(small_wav, data):
+    path, valid = small_wav
+    fuzz = path + ".fuzz"
+    with open(fuzz, "wb") as fh:
+        fh.write(data.draw(corrupted(valid, b"RIFF")))
+    try:
+        signal = dsp.load_wav(fuzz)
+    except TouchAuditionError:
+        return
+    assert signal.dtype == np.float32 and signal.ndim == 1
+
 
 def test_frame_geometry_constants():
     # 32 ms window / 10 ms hop at 16 kHz.
@@ -215,6 +252,8 @@ def test_melf_rejects_bad_bytes(tmp_path):
             fh.write(blob)
         with pytest.raises(AudioFormatError):
             dsp.load_melf(trunc)
+    with pytest.raises(AudioFormatError):
+        dsp.load_melf(str(tmp_path / "missing.melf"))
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 """Model tests: parameter ledger, minimum-length contract, impulse
 footprints, checkpoint round-trips, and mode behavior."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from conftest import corrupted, dependency_footprint
@@ -150,6 +153,38 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+# sha256 of the "name shape" lines, one per checkpoint entry in file order,
+# for the default model: the 46 parameters, then the 20 buffers.
+CHECKPOINT_ENTRIES_SHA256 = "95d7f5f6c7aefa57c8881df1091402be78918f370d33bb2598682967897b8eac"
+
+
+def test_checkpoint_entry_names_and_order_are_pinned(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
+    data = open(path, "rb").read()
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    off = 12 + blob_len
+    (count,) = struct.unpack_from("<I", data, off)
+    off += 4
+    entries = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, off)
+        name = data[off + 2 : off + 2 + name_len].decode()
+        off += 2 + name_len
+        ndim = data[off]
+        shape = struct.unpack_from(f"<{ndim}I", data, off + 1)
+        off += 1 + 4 * ndim + 4 * int(np.prod(shape))
+        entries.append((name, shape))
+    assert off == len(data)
+    assert len(entries) == 66
+    assert entries[0] == ("branch3.conv1.weight", (16, 1, 3, 3))
+    assert entries[45] == ("head.bias", (6,))
+    assert entries[46] == ("branch3.bn1.running_mean", (16,))
+    assert entries[-1] == ("feature_std", (64,))
+    text = "\n".join(f"{name} {shape}" for name, shape in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECKPOINT_ENTRIES_SHA256
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
@@ -160,6 +195,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
         fh.write(b"XXXX" + raw[4:])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(bad_magic)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(tmp_path / "missing.ckpt"))
 
     for name, blob in [
         ("trunc", raw[: len(raw) - 1000]),
@@ -186,6 +223,7 @@ def test_config_blob_round_trip():
     for bad in [
         b"task=gesture\nn_classes=oops",
         ModelConfig(kernel_sizes=(3, 0)).to_blob(),
+        ModelConfig(kernel_sizes=(3, 3)).to_blob(),
         ModelConfig(dilations=((1, 1), (2, 1))).to_blob(),
         ModelConfig(dropout=1.0).to_blob(),
         b"\xff",
