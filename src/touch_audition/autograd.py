@@ -24,10 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 # `no_grad` block in one worker cannot switch graph building off in another.
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
-# Cap on the lowered scratch conv2d works through per batch chunk (forward
-# and backward). Keeps peak memory flat for large batches.
-_CONV_COL_BYTES = 64 << 20
-
 
 @contextmanager
 def no_grad():
@@ -53,18 +49,18 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
-    """Lower a channels-first chunk (n, c, t, f) over its frequency taps only.
+    """Lower one channels-first sample (c, t, f) over its frequency taps only.
 
-    Returns Y (n, t*fo, kf*c), fo = f - (kf-1)*rf, with
-    Y[s, u*fo + v, j*c + ch] = x[s, ch, u, v + j*rf]. Time stays the outer
-    row axis, so the rows one time tap reads form a single contiguous block.
+    Returns Y (t*fo, kf*c), fo = f - (kf-1)*rf, with
+    Y[u*fo + v, j*c + ch] = x[ch, u, v + j*rf]. Time stays the outer row
+    axis, so the rows one time tap reads form a single contiguous block.
     """
-    n, c = x.shape[:2]
+    c = x.shape[0]
     # Channels-last first, so the (kf, c) block of a row copies as one run
     # (undilated frequency) or kf runs of c.
-    xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=dtype)
-    windows = sliding_window_view(xl, (kf - 1) * rf + 1, axis=2)[..., ::rf].swapaxes(3, 4)
-    return np.ascontiguousarray(windows).reshape(n, -1, kf * c)
+    xl = np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
+    windows = sliding_window_view(xl, (kf - 1) * rf + 1, axis=1)[..., ::rf].swapaxes(2, 3)
+    return np.ascontiguousarray(windows).reshape(-1, kf * c)
 
 
 def _channel(v: np.ndarray) -> np.ndarray:
@@ -324,15 +320,15 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Both passes lower only the frequency taps: `_lower_freq_taps` turns
-        a batch chunk into Y (nc, t*fo, kf*c), kt times smaller than a full
-        im2col, and time tap i reads the contiguous row block
-        Y[s, i*rt*fo : (i*rt+to)*fo]. Forward sums one GEMM per time tap,
+        Both passes work one sample at a time and lower only its frequency
+        taps: `_lower_freq_taps` turns sample s into Y (t*fo, kf*c), kt times
+        smaller than a full im2col, and time tap i reads the contiguous row
+        block Y[i*rt*fo : (i*rt+to)*fo]. Forward sums one GEMM per time tap,
         W_i @ block.T, into the channels-first output. Backward rebuilds Y
         instead of keeping it in the graph, accumulates gW_i += g[s] @ block,
-        scatters dY[block] += g[s].T @ W_i into one sample's dY, and folds dY
-        onto the input gradient with kf strided adds. Chunking keeps the
-        lowered scratch under `_CONV_COL_BYTES`.
+        scatters dY[block] += g[s].T @ W_i into the sample's dY, and folds dY
+        onto the input gradient with kf strided adds. Scratch is one sample's
+        lowering, whatever the batch size.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -353,26 +349,17 @@ class Tensor:
         # Per-tap weights W_i, (kt, o, kf*c), columns in Y's (kf, c) order.
         wl = np.ascontiguousarray(weight.data.transpose(2, 0, 3, 1), dtype=rtype).reshape(kt, o, k)
         taps = [slice(i * rt * fo, i * rt * fo + rows) for i in range(kt)]
-        # Scratch budget: a chunk costs Y plus the channels-last copy it is
-        # built from, per sample; one sample's dY, GEMM result and folded
-        # input gradient are reused across the batch and come off the top.
-        item = rtype.itemsize
-        per_sample = item * (t * fo * k + t * f * c)
-        reused = item * (t * fo * k + rows * max(o, k) + t * f * c)
-        step = max(1, min(n, (_CONV_COL_BYTES - reused) // per_sample))
 
         out_data = np.empty((n, o, to, fo), dtype=rtype)
         out3 = out_data.reshape(n, o, rows)
         tmp = np.empty((o, rows), dtype=rtype)
-        for a in range(0, n, step):
-            y = _lower_freq_taps(self.data[a : a + step], kf, rf, rtype)
-            for s in range(y.shape[0]):
-                acc = out3[a + s]
-                np.matmul(wl[0], y[s, taps[0]].T, out=acc)
-                for i in range(1, kt):
-                    np.matmul(wl[i], y[s, taps[i]].T, out=tmp)
-                    acc += tmp
-            del y  # free this chunk before the next one is lowered
+        for s in range(n):
+            y = _lower_freq_taps(self.data[s], kf, rf, rtype)
+            acc = out3[s]
+            np.matmul(wl[0], y[taps[0]].T, out=acc)
+            for i in range(1, kt):
+                np.matmul(wl[i], y[taps[i]].T, out=tmp)
+                acc += tmp
         out_data += bias.data.reshape(1, -1, 1, 1)
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
@@ -393,31 +380,26 @@ class Tensor:
                     dy4 = dy.reshape(t, fo, kf, c)
                     tmp_y = np.empty((rows, k), dtype=rtype)
                     gxl = np.empty((t, f, c), dtype=rtype)
-                for a in range(0, n, step):
-                    nc = min(step, n - a)
+                for s in range(n):
+                    gs = g3[s]
                     if need_w:
-                        y = _lower_freq_taps(self.data[a : a + nc], kf, rf, rtype)
-                    for s in range(nc):
-                        gs = g3[a + s]
-                        if need_w:
-                            for i in range(kt):
-                                np.matmul(gs, y[s, taps[i]], out=tmp_w)
-                                gw[i] += tmp_w
-                        if need_x:
-                            # Tap 0 and frequency tap 0 are written, not
-                            # added; the rows and columns past them start at 0.
-                            np.matmul(gs.T, wl[0], out=dy[:rows])
-                            dy[rows:] = 0
-                            for i in range(1, kt):
-                                np.matmul(gs.T, wl[i], out=tmp_y)
-                                dy[taps[i]] += tmp_y
-                            gxl[:, :fo] = dy4[:, :, 0]
-                            gxl[:, fo:] = 0
-                            for j in range(1, kf):
-                                gxl[:, j * rf : j * rf + fo] += dy4[:, :, j]
-                            gx[a + s] = gxl.transpose(2, 0, 1)
-                    if need_w:
-                        del y  # free this chunk before the next one is lowered
+                        y = _lower_freq_taps(self.data[s], kf, rf, rtype)
+                        for i in range(kt):
+                            np.matmul(gs, y[taps[i]], out=tmp_w)
+                            gw[i] += tmp_w
+                    if need_x:
+                        # Tap 0 and frequency tap 0 are written, not added;
+                        # the rows and columns past them start at 0.
+                        np.matmul(gs.T, wl[0], out=dy[:rows])
+                        dy[rows:] = 0
+                        for i in range(1, kt):
+                            np.matmul(gs.T, wl[i], out=tmp_y)
+                            dy[taps[i]] += tmp_y
+                        gxl[:, :fo] = dy4[:, :, 0]
+                        gxl[:, fo:] = 0
+                        for j in range(1, kf):
+                            gxl[:, j * rf : j * rf + fo] += dy4[:, :, j]
+                        gx[s] = gxl.transpose(2, 0, 1)
                 if need_w:
                     weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
                 if need_x:

@@ -3,8 +3,10 @@
 Subcommands: synth, featurize, train, eval, sweep, analyze, infer.
 Usage errors exit with code 2 (argparse); domain errors (bad audio, short
 input, malformed manifests/checkpoints) print one line to stderr and exit 1.
-Lengths in seconds (--length, --lengths, --crop-s) must be positive and
-finite; anything else is a usage error.
+Lengths in seconds (--length, --lengths, --crop-s, --seconds) must be
+positive and finite, counts (--epochs, --batch-size, --runs, --per-class) at
+least 1, seeds and --splits counts non-negative integers; anything else is a
+usage error.
 """
 
 from __future__ import annotations
@@ -85,19 +87,6 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_splits(text: str | None) -> tuple[int, int, int] | None:
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ManifestError(f"--splits wants train,val,test counts, got {text!r}")
-    try:
-        a, b, c = (int(p) for p in parts)
-    except ValueError as e:
-        raise ManifestError(f"--splits wants integers, got {text!r}") from e
-    return a, b, c
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     settings = TrainSettings(
         task=args.task,
@@ -107,7 +96,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         crop_s=args.crop_s,
         seed=args.seed,
         runs=args.runs,
-        splits=_parse_splits(args.splits),
+        splits=args.splits,
         by_participant=args.by_participant,
         out_dir=args.out,
     )
@@ -203,6 +192,29 @@ def _length_list(text: str) -> tuple[float, ...]:
     return tuple(_seconds(s) for s in text.split(","))
 
 
+def _count(text: str, lowest: int = 1) -> int:
+    """argparse type for a count: an integer no smaller than `lowest`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    return _count(text, lowest=0)
+
+
+def _splits(text: str) -> tuple[int, int, int]:
+    """argparse type for --splits: train,val,test clip counts, each >= 0."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected train,val,test counts, got {text!r}")
+    return tuple(_count(p, lowest=0) for p in parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="touch-audition",
@@ -212,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     _add_task(p)
-    p.add_argument("--per-class", type=int, default=20, help="clips per class (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
-    p.add_argument("--seconds", type=float, default=10.0, help="clip length (default 10.0)")
+    p.add_argument("--per-class", type=_count, default=20, help="clips per class (default 20)")
+    p.add_argument("--seed", type=_seed, default=0, help="corpus seed (default 0)")
+    p.add_argument("--seconds", type=_seconds, default=10.0, help="clip length (default 10.0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -228,17 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     _add_task(p)
     p.add_argument("--out", default="runs", help="output directory (default runs)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--epochs", type=int, default=100, help="training epochs (default 100)")
-    p.add_argument("--batch-size", type=int, default=32, help="batch size (default 32)")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    p.add_argument("--epochs", type=_count, default=100, help="training epochs (default 100)")
+    p.add_argument("--batch-size", type=_count, default=32, help="batch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate (default 1e-3)")
     p.add_argument("--crop-s", type=_seconds, default=None,
                    help="training crop seconds (default 6 for gesture, 7 otherwise)")
-    p.add_argument("--splits", default=None,
+    p.add_argument("--splits", type=_splits, default=None,
                    help="train,val,test totals (default 366,42,84 gesture / 660,80,100 emotion)")
     p.add_argument("--by-participant", action="store_true",
                    help="assign whole participants to a single split")
-    p.add_argument("--runs", type=int, default=1, help="independent runs (default 1)")
+    p.add_argument("--runs", type=_count, default=1, help="independent runs (default 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest split")

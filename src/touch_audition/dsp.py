@@ -36,7 +36,8 @@ def load_wav(path: str) -> np.ndarray:
             nchan = w.getnchannels()
             width = w.getsampwidth()
             rate = w.getframerate()
-            raw = w.readframes(w.getnframes())
+            nframes = w.getnframes()
+            raw = w.readframes(nframes)
     # OSError: missing or unreadable file; RuntimeError: a chunk header cut
     # short (raised by the chunk reader's seek).
     except (OSError, wave.Error, EOFError, RuntimeError) as e:
@@ -47,8 +48,10 @@ def load_wav(path: str) -> np.ndarray:
         raise AudioFormatError(f"{path}: expected mono, got {nchan} channels")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-    if len(raw) % 2:
-        raise AudioFormatError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
+    # The file can end before the data chunk its header declares (a cut-short
+    # recording); the reader then returns only what is there.
+    if len(raw) != 2 * nframes:
+        raise AudioFormatError(f"{path}: data chunk cut short ({len(raw)} of {2 * nframes} bytes)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
 
 

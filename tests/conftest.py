@@ -1,6 +1,6 @@
 """Shared test oracles: finite-difference gradient checks, a naive
-convolution reference, a corrupt-file generator for parser fuzzing, and an
-impulse-dependency footprint probe."""
+convolution reference, a corrupt-file generator for parser fuzzing, an
+impulse-dependency footprint probe, and a live MAC count."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from touch_audition.autograd import Tensor
+from touch_audition.autograd import Tensor, no_grad
+from touch_audition.model import ModelConfig, Mtrcnn
 
 
 def numerical_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -129,6 +130,27 @@ def dependency_footprint(chain: list[tuple], t_in: int, f_in: int = 16) -> int:
     touched = np.nonzero(np.abs(x.grad[0, 0]).sum(axis=1) > 0)[0]
     assert touched.size > 0
     return int(touched.max() - touched.min() + 1)
+
+
+def live_mac_count(cfg: ModelConfig, t: int) -> int:
+    """Brute-force cost oracle: run the real layers and count one MAC per
+    output element per kernel tap, straight from the produced array shapes."""
+    model = Mtrcnn(cfg, np.random.default_rng(0))
+    x = np.zeros((1, 1, t, cfg.n_mels), dtype=np.float32)
+    macs = 0
+    with no_grad():
+        for branch in model.branches:
+            h = Tensor(x)
+            for conv, bn in zip(branch.convs, branch.bns):
+                h = conv(h)
+                _, c, kt, kf = conv.weight.data.shape
+                macs += h.data.size * c * kt * kf
+                h = bn(h, training=False).relu().avg_pool2d()
+            h = branch.embed(h.mean_pool())
+            macs += branch.embed.weight.data.size
+        macs += model.fusion.weight.data.size
+        macs += model.head.weight.data.size
+    return macs
 
 
 @pytest.fixture(scope="session")

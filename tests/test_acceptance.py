@@ -19,7 +19,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import check_grads, dependency_footprint, kink_free_bn_input, naive_conv2d, rel_err
+from conftest import (
+    check_grads,
+    dependency_footprint,
+    kink_free_bn_input,
+    live_mac_count,
+    naive_conv2d,
+    rel_err,
+)
 
 from touch_audition.analysis import (
     branch_time_specs,
@@ -111,27 +118,6 @@ def test_criterion_03_parameter_count_and_model_size():
     )
 
 
-def _live_mac_count(cfg: ModelConfig, t: int) -> int:
-    """Brute-force cost oracle: run the real layers and count one MAC per
-    output element per kernel tap, straight from the produced array shapes."""
-    model = Mtrcnn(cfg, np.random.default_rng(0))
-    x = np.zeros((1, 1, t, cfg.n_mels), dtype=np.float32)
-    macs = 0
-    with no_grad():
-        for branch in model.branches:
-            h = Tensor(x)
-            for conv, bn in zip(branch.convs, branch.bns):
-                h = conv(h)
-                _, c, kt, kf = conv.weight.data.shape
-                macs += h.data.size * c * kt * kf
-                h = bn(h, training=False).relu().avg_pool2d()
-            h = branch.embed(h.mean_pool())
-            macs += branch.embed.weight.data.size
-        macs += model.fusion.weight.data.size
-        macs += model.head.weight.data.size
-    return macs
-
-
 def test_criterion_04_flop_counts_and_reconciliation():
     """count_flops is exact against a per-output-element oracle; the report
     grid flags at least one (convention, length) cell near 0.708 GFLOPs."""
@@ -139,7 +125,7 @@ def test_criterion_04_flop_counts_and_reconciliation():
     lengths = [min_input_frames(cfg), frames_for_seconds(6.0), frames_for_seconds(10.0)]
     exact = []
     for t in lengths:
-        oracle = _live_mac_count(cfg, t)
+        oracle = live_mac_count(cfg, t)
         exact.append(
             count_flops(cfg, t, convention="mac")["total"] == oracle
             and count_flops(cfg, t, convention="two_mac")["total"] == 2 * oracle

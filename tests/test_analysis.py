@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 import pytest
-from conftest import dependency_footprint
+from conftest import dependency_footprint, live_mac_count
 
 from touch_audition.analysis import (
     LayerSpec,
@@ -19,7 +19,6 @@ from touch_audition.analysis import (
     min_input_frames,
     receptive_field,
 )
-from touch_audition.autograd import Tensor, no_grad
 from touch_audition.errors import InputTooShortError
 from touch_audition.model import ModelConfig, Mtrcnn
 
@@ -91,28 +90,6 @@ def test_count_params_matches_live_enumeration_all_tasks():
         live = Mtrcnn(cfg, np.random.default_rng(0))
         assert counted["total"] == live.num_params()
         assert 230_000 <= counted["total"] <= 250_000
-
-
-def live_mac_count(cfg: ModelConfig, t: int) -> int:
-    """Brute-force oracle: run the real layers, count per-output-element
-    multiply-accumulates from the actual array shapes."""
-    model = Mtrcnn(cfg, np.random.default_rng(0))
-    x = np.zeros((1, 1, t, cfg.n_mels), dtype=np.float32)
-    macs = 0
-    with no_grad():
-        for branch in model.branches:
-            h = Tensor(x)
-            for conv, bn in zip(branch.convs, branch.bns):
-                h = conv(h)
-                o, c, kt, kf = conv.weight.data.shape
-                macs += h.data.size * c * kt * kf
-                h = bn(h, training=False).relu().avg_pool2d()
-            h = h.mean_pool()
-            h = branch.embed(h)
-            macs += branch.embed.weight.data.size
-        macs += model.fusion.weight.data.size
-        macs += model.head.weight.data.size
-    return macs
 
 
 @pytest.mark.parametrize("t", [110, 598, 997])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err
 
-from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
 from touch_audition.optim import Adam
 
@@ -124,8 +123,9 @@ def test_conv2d_matches_naive_oracle_exhaustively():
     assert worst < 1e-6
 
 
-# Batch of 5 split into chunks of 2, 2 and 1 by a shrunken scratch cap.
-CHUNK_CASES = [
+# A batch of 5 through the per-sample loops: c_in 1 and 3, kt != kf,
+# dilations (2, 1) and (3, 2).
+BATCH_CASES = [
     # (c_in, c_out, kt, kf, dilation)
     (1, 2, 3, 2, (2, 1)),
     (3, 2, 2, 3, (3, 2)),
@@ -134,55 +134,23 @@ CHUNK_CASES = [
 ]
 
 
-def _uneven_split_cap(c, o, kt, kf, t, f, dilation, itemsize=8):
-    """A `_CONV_COL_BYTES` that makes conv2d lower a batch two samples at a time.
-
-    Mirrors conv2d's budget: single-sample buffers (dY, one GEMM result, the
-    folded input gradient) come off the top, then each chunk sample costs its
-    lowering Y plus the channels-last copy it is built from.
-    """
-    rt, rf = dilation
-    to, fo = t - (kt - 1) * rt, f - (kf - 1) * rf
-    k = kf * c
-    per_sample = itemsize * (t * fo * k + t * f * c)
-    reused = itemsize * (t * fo * k + to * fo * max(o, k) + t * f * c)
-    return reused + 2 * per_sample + per_sample // 2
-
-
-@pytest.fixture
-def chunk_sizes(monkeypatch):
-    """Record the batch size of every chunk conv2d lowers."""
-    sizes = []
-    lower = autograd._lower_freq_taps
-
-    def recording(x, *args):
-        sizes.append(x.shape[0])
-        return lower(x, *args)
-
-    monkeypatch.setattr(autograd, "_lower_freq_taps", recording)
-    return sizes
-
-
-@pytest.mark.parametrize("c, o, kt, kf, dilation", CHUNK_CASES)
-def test_conv2d_chunk_boundaries_match_naive(monkeypatch, chunk_sizes, c, o, kt, kf, dilation):
+@pytest.mark.parametrize("c, o, kt, kf, dilation", BATCH_CASES)
+def test_conv2d_batch_matches_naive(c, o, kt, kf, dilation):
     rt, rf = dilation
     t = (kt - 1) * rt + 4
     f = (kf - 1) * rf + 3
-    monkeypatch.setattr(autograd, "_CONV_COL_BYTES", _uneven_split_cap(c, o, kt, kf, t, f, dilation))
     x = RNG.standard_normal((5, c, t, f))
     w = RNG.standard_normal((o, c, kt, kf))
     b = RNG.standard_normal(o)
     got = Tensor(x).conv2d(Tensor(w), Tensor(b), dilation).data
-    assert chunk_sizes == [2, 2, 1]
     assert rel_err(got, naive_conv2d(x, w, b, dilation)) < 1e-6
 
 
-@pytest.mark.parametrize("c, o, kt, kf, dilation", CHUNK_CASES)
-def test_conv2d_chunk_boundaries_grads(monkeypatch, chunk_sizes, c, o, kt, kf, dilation):
+@pytest.mark.parametrize("c, o, kt, kf, dilation", BATCH_CASES)
+def test_conv2d_batch_grads(c, o, kt, kf, dilation):
     rt, rf = dilation
     t = (kt - 1) * rt + 3
     f = (kf - 1) * rf + 2
-    monkeypatch.setattr(autograd, "_CONV_COL_BYTES", _uneven_split_cap(c, o, kt, kf, t, f, dilation))
     to, fo = t - (kt - 1) * rt, f - (kf - 1) * rf
     check_grads(
         lambda ts: (ts["x"].conv2d(ts["w"], ts["b"], dilation) * ts["m"]).sum(),
@@ -193,18 +161,17 @@ def test_conv2d_chunk_boundaries_grads(monkeypatch, chunk_sizes, c, o, kt, kf, d
             "m": RNG.standard_normal((5, o, to, fo)),
         },
     )
-    # Forward, backward, then one forward per finite-difference probe.
-    assert chunk_sizes[:6] == [2, 2, 1, 2, 2, 1]
 
 
-def test_conv2d_scratch_stays_under_cap(monkeypatch, chunk_sizes):
+def test_conv2d_scratch_is_one_sample_lowering():
+    # Beyond its output and the gradients it hands back, conv2d holds only
+    # single-sample scratch: dY, one GEMM result, the folded input gradient,
+    # and the next sample's lowering built while the last one is still bound
+    # (4.4 lowerings here), never the whole batch lowered at once (21.7).
     n, c, o, kt, kf, dilation = 16, 3, 4, 3, 5, (2, 1)
     t, f = 60, 40
-    cap = 1_200_000
     fo = f - (kf - 1) * dilation[1]
-    full_lowering = n * t * fo * kf * c * 8
-    assert full_lowering > 2 * cap
-    monkeypatch.setattr(autograd, "_CONV_COL_BYTES", cap)
+    lowering = t * fo * kf * c * 8
     x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
     w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
     b = Tensor(RNG.standard_normal(o), requires_grad=True)
@@ -216,10 +183,8 @@ def test_conv2d_scratch_stays_under_cap(monkeypatch, chunk_sizes):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(chunk_sizes) > 2  # really chunked, forward and backward
-    inputs = x.data.nbytes + w.data.nbytes + b.data.nbytes
     grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert peak < cap + inputs + out.data.nbytes + grads
+    assert peak < out.data.nbytes + grads + 5 * lowering
 
 
 def test_conv2d_backward_holds_one_input_gradient():

@@ -183,17 +183,33 @@ def test_usage_errors_exit_2(trained, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["synth"])  # missing required --out
     assert e.value.code == 2
-    # Lengths in seconds must be positive and finite.
     ckpt = ["--checkpoint", trained["ckpt"], "--manifest", trained["manifest"], "--split", ""]
+    # The last occurrence of an option wins, so each case overrides one
+    # valid value (a valid train would stop after one epoch).
+    train = ["train", "--manifest", trained["manifest"], "--out", str(tmp_path),
+             "--splits", "12,3,3", "--epochs", "1"]
+    synth = ["synth", "--per-class", "1", "--out", str(tmp_path / "synth")]
     for argv in (
+        # Lengths in seconds must be positive and finite.
         ["eval", *ckpt, "--length", "abc"],
         ["eval", *ckpt, "--length", "nan"],
         ["eval", *ckpt, "--length", "inf"],
         ["eval", *ckpt, "--length", "0"],
         ["sweep", *ckpt, "--lengths", "1,x"],
         ["sweep", *ckpt, "--lengths", "2,-1"],
-        ["train", "--manifest", trained["manifest"], "--out", str(tmp_path),
-         "--splits", "12,3,3", "--crop-s", "nan"],
+        [*train, "--crop-s", "nan"],
+        # Counts must be at least 1, seeds and split counts non-negative.
+        [*train, "--batch-size", "0"],
+        [*train, "--batch-size", "-4"],
+        [*train, "--epochs", "0"],
+        [*train, "--runs", "0"],
+        [*train, "--seed", "-1"],
+        [*train, "--splits=-1,3,3"],
+        [*train, "--splits", "abc"],
+        [*synth, "--per-class", "0"],
+        [*synth, "--seed", "-1"],
+        [*synth, "--seconds", "-1"],
+        [*synth, "--seconds", "nan"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)

@@ -63,6 +63,7 @@ def test_load_wav_rejects_bad_formats(tmp_path):
     raw = open(good, "rb").read()
     for name, blob in [
         ("odd", raw[:-1]),                            # data chunk ends inside a sample
+        ("short", raw[:-2]),                          # data chunk cut at a sample boundary
         ("fmt_size", raw[:16] + b"\x18" + raw[17:]),  # fmt chunk runs past the RIFF chunk
     ]:
         bad = str(tmp_path / f"{name}.wav")
