@@ -48,19 +48,27 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
-    """Lower one channels-first sample (c, t, f) over its frequency taps only.
+# Frames per forward tile: conv2d's output frames and bn_relu_pool's pooled
+# frames. Short enough that a tile's lowering, its (rows, o) accumulator and
+# the tail's rectified rows stay in cache, long enough that each GEMM keeps
+# BLAS busy. On a 10 s clip with one BLAS thread, conv tiles of 16 to 128
+# frames ran within noise of each other and a whole sample at once about
+# 30 % slower; 32 keeps the buffers small.
+_TILE_FRAMES = 32
 
-    Returns Y (t*fo, kf*c), fo = f - (kf-1)*rf, with
-    Y[u*fo + v, j*c + ch] = x[ch, u, v + j*rf]. Time stays the outer row
-    axis, so the rows one time tap reads form a single contiguous block.
+
+def _freq_windows(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
+    """One channels-first sample (c, t, f) as a view of its frequency taps.
+
+    Returns V (t, fo, kf, c), fo = f - (kf-1)*rf, with
+    V[u, v, j, ch] = x[ch, u, v + j*rf]. Copying frames [a, b) of V gives
+    rows [a*fo, b*fo) of the lowering Y (t*fo, kf*c): time stays the outer
+    row axis, so the rows one time tap reads form a single contiguous block.
     """
-    c = x.shape[0]
     # Channels-last first, so the (kf, c) block of a row copies as one run
     # (undilated frequency) or kf runs of c.
     xl = np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
-    windows = sliding_window_view(xl, (kf - 1) * rf + 1, axis=1)[..., ::rf].swapaxes(2, 3)
-    return np.ascontiguousarray(windows).reshape(-1, kf * c)
+    return sliding_window_view(xl, (kf - 1) * rf + 1, axis=1)[..., ::rf].swapaxes(2, 3)
 
 
 def _channel(v: np.ndarray) -> np.ndarray:
@@ -94,9 +102,9 @@ def _bn_fold(gamma, beta, mu, var, eps: float):
     return inv_std, scale, beta - mu * scale
 
 
-def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """x * scale + shift per channel, built in one new buffer."""
-    h = x * _channel(scale)
+def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None) -> np.ndarray:
+    """x * scale + shift per channel, built in `out` or one new buffer."""
+    h = np.multiply(x, _channel(scale), out=out)
     h += _channel(shift)
     return h
 
@@ -129,13 +137,21 @@ def _bn_accumulate(*pairs: tuple["Tensor", np.ndarray]) -> None:
             t._accumulate(grad)
 
 
-def _pool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling, stride 2, over the last two axes; an odd
-    trailing row or column is dropped (floor semantics)."""
-    t2, f2 = x.shape[2] // 2, x.shape[3] // 2
+def _pooled_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """(n, c, t // 2, f // 2): 2x2 pooling drops an odd trailing row or
+    column (floor semantics) and needs both spatial dims >= 2."""
+    t2, f2 = shape[2] // 2, shape[3] // 2
     if t2 < 1 or f2 < 1:
-        raise ValueError(f"avg_pool2d needs both spatial dims >= 2, got input shape {x.shape}")
-    out = x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] + x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2]
+        raise ValueError(f"avg_pool2d needs both spatial dims >= 2, got input shape {shape}")
+    return (*shape[:2], t2, f2)
+
+
+def _pool2x2(x: np.ndarray, out=None) -> np.ndarray:
+    """2x2 average pooling, stride 2, over the last two axes, into `out` or
+    one new buffer of `_pooled_shape(x.shape)`."""
+    t2, f2 = _pooled_shape(x.shape)[2:]
+    out = np.add(x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2], x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2],
+                 out=out)
     out += x[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2]
     out += x[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2]
     out *= 0.25
@@ -321,14 +337,19 @@ class Tensor:
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
         Both passes work one sample at a time and lower only its frequency
-        taps: `_lower_freq_taps` turns sample s into Y (t*fo, kf*c), kt times
+        taps (`_freq_windows`): sample s becomes Y (t*fo, kf*c), kt times
         smaller than a full im2col, and time tap i reads the contiguous row
-        block Y[i*rt*fo : (i*rt+to)*fo]. Forward sums one GEMM per time tap,
-        W_i @ block.T, into the channels-first output. Backward rebuilds Y
-        instead of keeping it in the graph, accumulates gW_i += g[s] @ block,
-        scatters dY[block] += g[s].T @ W_i into the sample's dY, and folds dY
-        onto the input gradient with kf strided adds. Scratch is one sample's
-        lowering, whatever the batch size.
+        block starting at row i*rt*fo. Forward copies Y one tile of
+        `_TILE_FRAMES` output frames at a time (Anderson et al.,
+        arXiv:1709.03395) into one buffer, sums one GEMM per time tap,
+        Y_tile[tap i] @ W_i.T, into a tile-sized (rows, o) accumulator, adds
+        the bias and writes the tile transposed into the output. Backward
+        rebuilds the sample's whole Y in one reused buffer instead of keeping
+        it in the graph, accumulates gW_i += g[s] @ Y[tap i], scatters
+        dY[tap i] += g[s].T @ W_i into the sample's dY, and folds dY onto the
+        input gradient with kf strided adds. Scratch does not grow with the
+        batch: forward holds the sample's channels-last copy plus one tile,
+        backward about one lowering plus dY.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -348,19 +369,27 @@ class Tensor:
         rtype = np.result_type(self.data.dtype, weight.data.dtype)
         # Per-tap weights W_i, (kt, o, kf*c), columns in Y's (kf, c) order.
         wl = np.ascontiguousarray(weight.data.transpose(2, 0, 3, 1), dtype=rtype).reshape(kt, o, k)
-        taps = [slice(i * rt * fo, i * rt * fo + rows) for i in range(kt)]
 
         out_data = np.empty((n, o, to, fo), dtype=rtype)
         out3 = out_data.reshape(n, o, rows)
-        tmp = np.empty((o, rows), dtype=rtype)
+        tile = min(_TILE_FRAMES, to)
+        y_tile = np.empty((tile + kt_eff - 1, fo, kf, c), dtype=rtype)
+        y = y_tile.reshape(-1, k)
+        acc = np.empty((tile * fo, o), dtype=rtype)
+        tmp = np.empty_like(acc)
         for s in range(n):
-            y = _lower_freq_taps(self.data[s], kf, rf, rtype)
-            acc = out3[s]
-            np.matmul(wl[0], y[taps[0]].T, out=acc)
-            for i in range(1, kt):
-                np.matmul(wl[i], y[taps[i]].T, out=tmp)
-                acc += tmp
-        out_data += bias.data.reshape(1, -1, 1, 1)
+            windows = _freq_windows(self.data[s], kf, rf, rtype)
+            for u0 in range(0, to, tile):
+                u1 = min(u0 + tile, to)
+                r = (u1 - u0) * fo
+                y_tile[: u1 - u0 + kt_eff - 1] = windows[u0 : u1 + kt_eff - 1]
+                a, b = acc[:r], tmp[:r]
+                np.matmul(y[:r], wl[0].T, out=a)
+                for i in range(1, kt):
+                    np.matmul(y[i * rt * fo : i * rt * fo + r], wl[i].T, out=b)
+                    a += b
+                a += bias.data
+                out3[s, :, u0 * fo : u1 * fo] = a.T
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
@@ -371,9 +400,12 @@ class Tensor:
                 if not (need_w or need_x):
                     return
                 g3 = out.grad.reshape(n, o, rows)
+                taps = [slice(i * rt * fo, i * rt * fo + rows) for i in range(kt)]
                 if need_w:
                     gw = np.zeros((kt, o, k), dtype=rtype)
                     tmp_w = np.empty((o, k), dtype=rtype)
+                    y_full = np.empty((t, fo, kf, c), dtype=rtype)
+                    y = y_full.reshape(-1, k)
                 if need_x:
                     gx = np.empty((n, c, t, f), dtype=rtype)
                     dy = np.empty((t * fo, k), dtype=rtype)
@@ -383,7 +415,7 @@ class Tensor:
                 for s in range(n):
                     gs = g3[s]
                     if need_w:
-                        y = _lower_freq_taps(self.data[s], kf, rf, rtype)
+                        y_full[...] = _freq_windows(self.data[s], kf, rf, rtype)
                         for i in range(kt):
                             np.matmul(gs, y[taps[i]], out=tmp_w)
                             gw[i] += tmp_w
@@ -454,11 +486,14 @@ class Tensor:
         """Batch norm, ReLU and 2x2 average pooling as one op.
 
         Same result as `batch_norm(...).relu().avg_pool2d()`, but the graph
-        keeps only the input (this op's parent) and per-channel vectors: the
-        normalized, rectified full-size array is built in one buffer, pooled
-        and dropped. Backward recomputes it with the same expression, so the
-        ReLU mask has the same bits, and recomputes xhat from the input
-        (recompute-in-backward, Chen et al., arXiv:1604.06174).
+        keeps only the input (this op's parent) and per-channel vectors.
+        Forward never builds the normalized, rectified array whole: per
+        sample, it fills one tile-sized buffer with the 2 * `_TILE_FRAMES`
+        input frames behind one tile of pooled frames, rectifies it and pools
+        it into the output. Backward recomputes the full-size array with the
+        same expression, so the ReLU mask has the same bits, and recomputes
+        xhat from the input (recompute-in-backward, Chen et al.,
+        arXiv:1604.06174).
         """
         x = self.data
         mu, var = _bn_stats(x, running_mean, running_var, training, momentum)
@@ -466,10 +501,17 @@ class Tensor:
             v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var, eps)
         )
         mu = mu.astype(x.dtype, copy=False)
-        h = _bn_affine(x, scale, shift)
-        np.maximum(h, 0, out=h)
-        out_data = _pool2x2(h)
-        del h
+        out_data = np.empty(_pooled_shape(x.shape), dtype=x.dtype)
+        t2 = out_data.shape[2]
+        tile = min(_TILE_FRAMES, t2)
+        h_tile = np.empty((1, x.shape[1], 2 * tile, x.shape[3]), dtype=x.dtype)
+        for s in range(x.shape[0]):
+            for u0 in range(0, t2, tile):
+                u1 = min(u0 + tile, t2)
+                h = _bn_affine(x[s : s + 1, :, 2 * u0 : 2 * u1], scale, shift,
+                               out=h_tile[:, :, : 2 * (u1 - u0)])
+                np.maximum(h, 0, out=h)
+                _pool2x2(h, out=out_data[s : s + 1, :, u0:u1])
         out = Tensor._make(out_data, (self, gamma, beta))
         if out.requires_grad:
             def _backward():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioFormatError, InputTooShortError
 
@@ -76,7 +77,10 @@ def num_frames(n_samples: int) -> int:
 
 
 def frame_signal(signal: np.ndarray) -> np.ndarray:
-    """Slice a 1-D signal into overlapping frames of shape (T, WIN_LENGTH)."""
+    """Overlapping frames of a 1-D signal, shape (T, WIN_LENGTH).
+
+    A read-only strided view: frame i is signal[i*HOP_LENGTH :][:WIN_LENGTH].
+    """
     signal = np.asarray(signal)
     t = num_frames(signal.shape[0])
     if t == 0:
@@ -84,8 +88,7 @@ def frame_signal(signal: np.ndarray) -> np.ndarray:
             f"signal of {signal.shape[0]} samples is shorter than one "
             f"{WIN_LENGTH}-sample analysis window"
         )
-    idx = np.arange(WIN_LENGTH)[None, :] + HOP_LENGTH * np.arange(t)[:, None]
-    return signal[idx]
+    return sliding_window_view(signal, WIN_LENGTH)[::HOP_LENGTH]
 
 
 def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
@@ -119,9 +122,9 @@ def mel_filterbank(
 
 def power_spectrogram(signal: np.ndarray) -> np.ndarray:
     """Hamming-windowed power spectrum per frame, shape (T, n_fft//2 + 1)."""
-    frames = frame_signal(signal).astype(np.float64)
-    window = np.hamming(WIN_LENGTH)
-    spec = np.fft.rfft(frames * window, n=N_FFT, axis=1)
+    # Windowing a float32 signal's frames converts them to float64 in the
+    # same pass, with no separate float64 copy.
+    spec = np.fft.rfft(frame_signal(signal) * np.hamming(WIN_LENGTH), n=N_FFT, axis=1)
     return (spec.real ** 2 + spec.imag ** 2)
 
 

@@ -163,11 +163,74 @@ def test_conv2d_batch_grads(c, o, kt, kf, dilation):
     )
 
 
+# Inputs of 100+ frames (101 output frames, a prime count), so the forward's
+# time tiles split them several times with a partial last tile, and the kt
+# taps' halos cross tile edges: c_in 1 and 3, kt 3 and 5, dilation (3, 1).
+TILE_CASES = [
+    # (c_in, c_out, kt, kf, dilation)
+    (1, 2, 3, 2, (3, 1)),
+    (3, 2, 5, 3, (1, 1)),
+    (3, 3, 5, 1, (3, 1)),
+]
+
+
+def _long_input_shape(n, c, kt, kf, dilation):
+    rt, rf = dilation
+    return n, c, (kt - 1) * rt + 101, (kf - 1) * rf + 2
+
+
+@pytest.mark.parametrize("c, o, kt, kf, dilation", TILE_CASES)
+def test_conv2d_long_input_matches_naive(c, o, kt, kf, dilation):
+    x = RNG.standard_normal(_long_input_shape(2, c, kt, kf, dilation))
+    w = RNG.standard_normal((o, c, kt, kf))
+    b = RNG.standard_normal(o)
+    got = Tensor(x).conv2d(Tensor(w), Tensor(b), dilation).data
+    assert got.shape[2] == 101
+    assert rel_err(got, naive_conv2d(x, w, b, dilation)) < 1e-6
+
+
+@pytest.mark.parametrize("c, o, kt, kf, dilation", TILE_CASES)
+def test_conv2d_long_input_grads(c, o, kt, kf, dilation):
+    n, _, t, f = _long_input_shape(2, c, kt, kf, dilation)
+    check_grads(
+        lambda ts: (ts["x"].conv2d(ts["w"], ts["b"], dilation) * ts["m"]).sum(),
+        {
+            "x": RNG.standard_normal((n, c, t, f)),
+            "w": RNG.standard_normal((o, c, kt, kf)),
+            "b": RNG.standard_normal(o),
+            "m": RNG.standard_normal((n, o, 101, f - (kf - 1) * dilation[1])),
+        },
+    )
+
+
+def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
+    # A no-grad forward lowers a few frames at a time: beyond its output it
+    # holds the sample's channels-last copy and tile-sized buffers, not the
+    # sample's whole (kf, c) lowering plus a full-size GEMM result.
+    c, o, kt, kf, dilation = 3, 4, 3, 5, (2, 1)
+    t, f = 400, 40
+    fo = f - (kf - 1) * dilation[1]
+    lowering = t * fo * kf * c * 8
+    x = Tensor(RNG.standard_normal((1, c, t, f)))
+    w = Tensor(RNG.standard_normal((o, c, kt, kf)))
+    b = Tensor(RNG.standard_normal(o))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            out = x.conv2d(w, b, dilation)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.data.nbytes < 0.5 * lowering
+
+
 def test_conv2d_scratch_is_one_sample_lowering():
     # Beyond its output and the gradients it hands back, conv2d holds only
-    # single-sample scratch: dY, one GEMM result, the folded input gradient,
-    # and the next sample's lowering built while the last one is still bound
-    # (4.4 lowerings here), never the whole batch lowered at once (21.7).
+    # single-sample scratch: one lowering, dY, one GEMM result, the folded
+    # input gradient and numpy's fixed-size buffers for the strided fold adds
+    # (3.8 lowerings here), never two samples' lowerings (4.4) nor the whole
+    # batch lowered at once (21.7).
     n, c, o, kt, kf, dilation = 16, 3, 4, 3, 5, (2, 1)
     t, f = 60, 40
     fo = f - (kf - 1) * dilation[1]
@@ -184,7 +247,7 @@ def test_conv2d_scratch_is_one_sample_lowering():
     finally:
         tracemalloc.stop()
     grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert peak < out.data.nbytes + grads + 5 * lowering
+    assert peak < out.data.nbytes + grads + 4 * lowering
 
 
 def test_conv2d_backward_holds_one_input_gradient():
@@ -292,6 +355,40 @@ def test_bn_relu_pool_matches_unfused_composition(training):
         assert np.array_equal(got, want)
     if not training:
         assert np.array_equal(bufs[0][0], start_mean) and np.array_equal(bufs[0][1], start_var)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_relu_pool_long_input_matches_unfused_composition(training):
+    # 203 frames: 101 pooled frames, a prime count, so the forward's time
+    # tiles split them several times with a partial last tile; the odd
+    # trailing frame is dropped.
+    n, c, t, f = 2, 3, 203, 7
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((n, c, t, f)))
+    gamma, beta = (Tensor(v) for v in _gamma_beta(c, rng))
+    bufs = [(np.zeros(c), np.ones(c)) for _ in range(2)]
+    fused = x.bn_relu_pool(gamma, beta, *bufs[0], training=training)
+    ref = x.batch_norm(gamma, beta, *bufs[1], training=training).relu().avg_pool2d()
+    assert fused.data.shape == ref.data.shape == (n, c, 101, 3)
+    assert rel_err(fused.data, ref.data) < 1e-12
+    assert (fused.data > 0).any() and (fused.data == 0).any()
+
+
+def test_bn_relu_pool_forward_never_builds_a_full_size_array():
+    # A no-grad forward rectifies a few frames at a time: beyond its
+    # quarter-size output it holds one tile, not a second full-size array.
+    c, t, f = 4, 400, 40
+    x = Tensor(RNG.standard_normal((1, c, t, f)))
+    gamma, beta = (Tensor(v) for v in _gamma_beta(c))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            out = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.data.nbytes < 0.5 * x.data.nbytes
 
 
 def test_bn_relu_pool_training_grads():
