@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Grad mode is per thread (each thread starts in a fresh context), so a
 # `no_grad` block in one worker cannot switch graph building off in another.
@@ -49,26 +48,27 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # Frames per forward tile: conv2d's output frames and bn_relu_pool's pooled
-# frames. Short enough that a tile's lowering, its (rows, o) accumulator and
-# the tail's rectified rows stay in cache, long enough that each GEMM keeps
-# BLAS busy. On a 10 s clip with one BLAS thread, conv tiles of 16 to 128
-# frames ran within noise of each other and a whole sample at once about
-# 30 % slower; 32 keeps the buffers small.
+# frames. Short enough that a tile's channels-first lowering, its (o, rows)
+# accumulator and the tail's rectified rows stay in cache, long enough that
+# each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread, the nine
+# conv forwards took about as long with tiles of 32 and 64 frames, and
+# longer with 16 (+45 %) or 128 (+13 %); 32 keeps the buffers small.
 _TILE_FRAMES = 32
 
 
-def _freq_windows(x: np.ndarray, kf: int, rf: int, dtype) -> np.ndarray:
-    """One channels-first sample (c, t, f) as a view of its frequency taps.
+def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, out: np.ndarray) -> np.ndarray:
+    """Lower a channels-first span of frames x (c, T, f) into out[:, :, :T].
 
-    Returns V (t, fo, kf, c), fo = f - (kf-1)*rf, with
-    V[u, v, j, ch] = x[ch, u, v + j*rf]. Copying frames [a, b) of V gives
-    rows [a*fo, b*fo) of the lowering Y (t*fo, kf*c): time stays the outer
-    row axis, so the rows one time tap reads form a single contiguous block.
+    out is (kf, c, T', fo), T' >= T, fo = f - (kf-1)*rf, and becomes
+    out[j, ch, u, v] = x[ch, u, v + j*rf]: kf copies of contiguous frequency
+    runs. Returns Y^T (kf*c, T'*fo), rows in the weights' (kf, c) order;
+    time is the outer column axis, so the columns of one time tap, shifted
+    i*rt frames, are the contiguous column block from i*rt*fo.
     """
-    # Channels-last first, so the (kf, c) block of a row copies as one run
-    # (undilated frequency) or kf runs of c.
-    xl = np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
-    return sliding_window_view(xl, (kf - 1) * rf + 1, axis=1)[..., ::rf].swapaxes(2, 3)
+    fo = out.shape[3]
+    for j in range(kf):
+        out[j, :, : x.shape[1]] = x[:, :, j * rf : j * rf + fo]
+    return out.reshape(kf * x.shape[0], -1)
 
 
 def _channel(v: np.ndarray) -> np.ndarray:
@@ -336,20 +336,21 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Both passes work one sample at a time and lower only its frequency
-        taps (`_freq_windows`): sample s becomes Y (t*fo, kf*c), kt times
-        smaller than a full im2col, and time tap i reads the contiguous row
-        block starting at row i*rt*fo. Forward copies Y one tile of
-        `_TILE_FRAMES` output frames at a time (Anderson et al.,
-        arXiv:1709.03395) into one buffer, sums one GEMM per time tap,
-        Y_tile[tap i] @ W_i.T, into a tile-sized (rows, o) accumulator, adds
-        the bias and writes the tile transposed into the output. Backward
-        rebuilds the sample's whole Y in one reused buffer instead of keeping
-        it in the graph, accumulates gW_i += g[s] @ Y[tap i], scatters
-        dY[tap i] += g[s].T @ W_i into the sample's dY, and folds dY onto the
-        input gradient with kf strided adds. Scratch does not grow with the
-        batch: forward holds the sample's channels-last copy plus one tile,
-        backward about one lowering plus dY.
+        Both passes work one sample at a time on one channels-first lowering
+        of its frequency taps (`_lower_freq_taps`), read straight from the
+        (c, t, f) input: Y^T (kf*c, t*fo), kt times smaller than a full
+        im2col, where time tap i is the column block from i*rt*fo. Forward
+        lowers one tile of `_TILE_FRAMES` output frames at a time (Anderson
+        et al., arXiv:1709.03395), sums one GEMM per time tap,
+        W_i @ Y^T[:, tap i], into a tile-sized (o, rows) accumulator, adds
+        the bias and copies the tile into the output as it stands. Backward
+        lowers the sample's whole Y^T into one reused buffer instead of
+        keeping it in the graph, accumulates gW_i.T += Y^T[:, tap i] @ g[s].T,
+        builds dY^T[:, tap i] += W_i.T @ g[s] and folds dY^T onto the
+        sample's input gradient with kf adds of contiguous (c, t, fo) blocks.
+        Scratch does not grow with the batch: forward holds one tile's
+        lowering and two tile-sized GEMM results, backward one lowering,
+        dY^T and one GEMM result.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -367,29 +368,34 @@ class Tensor:
         rows = to * fo
         k = kf * c
         rtype = np.result_type(self.data.dtype, weight.data.dtype)
-        # Per-tap weights W_i, (kt, o, kf*c), columns in Y's (kf, c) order.
-        wl = np.ascontiguousarray(weight.data.transpose(2, 0, 3, 1), dtype=rtype).reshape(kt, o, k)
+        # Per-tap transposed weights W_i.T, (kt, kf*c, o), rows in Y^T's
+        # (kf, c) row order. The forward hands W_i to BLAS as the transposed
+        # view wt[i].T: with a contiguous W_i, OpenBLAS sends small tiles to
+        # a small-matrix kernel that sums in another order, and an output's
+        # bits would depend on the size of the tile it falls in.
+        wt = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0), dtype=rtype).reshape(kt, k, o)
+        taps = [i * rt * fo for i in range(kt)]
 
         out_data = np.empty((n, o, to, fo), dtype=rtype)
         out3 = out_data.reshape(n, o, rows)
         tile = min(_TILE_FRAMES, to)
-        y_tile = np.empty((tile + kt_eff - 1, fo, kf, c), dtype=rtype)
-        y = y_tile.reshape(-1, k)
-        acc = np.empty((tile * fo, o), dtype=rtype)
+        y_tile = np.empty((kf, c, tile + kt_eff - 1, fo), dtype=rtype)
+        acc = np.empty((o, tile * fo), dtype=rtype)
         tmp = np.empty_like(acc)
         for s in range(n):
-            windows = _freq_windows(self.data[s], kf, rf, rtype)
             for u0 in range(0, to, tile):
                 u1 = min(u0 + tile, to)
                 r = (u1 - u0) * fo
-                y_tile[: u1 - u0 + kt_eff - 1] = windows[u0 : u1 + kt_eff - 1]
-                a, b = acc[:r], tmp[:r]
-                np.matmul(y[:r], wl[0].T, out=a)
+                y = _lower_freq_taps(self.data[s, :, u0 : u1 + kt_eff - 1], kf, rf, y_tile)
+                # Summed in contiguous buffers: numpy's in-place adds run
+                # several times slower on a strided (o, r) view of the output.
+                a, b = acc[:, :r], tmp[:, :r]
+                np.matmul(wt[0].T, y[:, :r], out=a)
                 for i in range(1, kt):
-                    np.matmul(y[i * rt * fo : i * rt * fo + r], wl[i].T, out=b)
+                    np.matmul(wt[i].T, y[:, taps[i] : taps[i] + r], out=b)
                     a += b
-                a += bias.data
-                out3[s, :, u0 * fo : u1 * fo] = a.T
+                a += bias.data[:, None]
+                out3[s, :, u0 * fo : u1 * fo] = a
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
@@ -400,40 +406,37 @@ class Tensor:
                 if not (need_w or need_x):
                     return
                 g3 = out.grad.reshape(n, o, rows)
-                taps = [slice(i * rt * fo, i * rt * fo + rows) for i in range(kt)]
                 if need_w:
-                    gw = np.zeros((kt, o, k), dtype=rtype)
-                    tmp_w = np.empty((o, k), dtype=rtype)
-                    y_full = np.empty((t, fo, kf, c), dtype=rtype)
-                    y = y_full.reshape(-1, k)
+                    gwt = np.zeros((kt, k, o), dtype=rtype)
+                    tmp_w = np.empty((k, o), dtype=rtype)
+                    y_full = np.empty((kf, c, t, fo), dtype=rtype)
                 if need_x:
                     gx = np.empty((n, c, t, f), dtype=rtype)
-                    dy = np.empty((t * fo, k), dtype=rtype)
-                    dy4 = dy.reshape(t, fo, kf, c)
-                    tmp_y = np.empty((rows, k), dtype=rtype)
-                    gxl = np.empty((t, f, c), dtype=rtype)
+                    dy = np.empty((k, t * fo), dtype=rtype)
+                    dy4 = dy.reshape(kf, c, t, fo)
+                    tmp_y = np.empty((k, rows), dtype=rtype)
                 for s in range(n):
                     gs = g3[s]
                     if need_w:
-                        y_full[...] = _freq_windows(self.data[s], kf, rf, rtype)
+                        y = _lower_freq_taps(self.data[s], kf, rf, y_full)
                         for i in range(kt):
-                            np.matmul(gs, y[taps[i]], out=tmp_w)
-                            gw[i] += tmp_w
+                            np.matmul(y[:, taps[i] : taps[i] + rows], gs.T, out=tmp_w)
+                            gwt[i] += tmp_w
                     if need_x:
                         # Tap 0 and frequency tap 0 are written, not added;
-                        # the rows and columns past them start at 0.
-                        np.matmul(gs.T, wl[0], out=dy[:rows])
-                        dy[rows:] = 0
+                        # the columns past them start at 0.
+                        np.matmul(wt[0], gs, out=dy[:, :rows])
+                        dy[:, rows:] = 0
                         for i in range(1, kt):
-                            np.matmul(gs.T, wl[i], out=tmp_y)
-                            dy[taps[i]] += tmp_y
-                        gxl[:, :fo] = dy4[:, :, 0]
-                        gxl[:, fo:] = 0
+                            np.matmul(wt[i], gs, out=tmp_y)
+                            dy[:, taps[i] : taps[i] + rows] += tmp_y
+                        gxs = gx[s]
+                        gxs[:, :, :fo] = dy4[0]
+                        gxs[:, :, fo:] = 0
                         for j in range(1, kf):
-                            gxl[:, j * rf : j * rf + fo] += dy4[:, :, j]
-                        gx[s] = gxl.transpose(2, 0, 1)
+                            gxs[:, :, j * rf : j * rf + fo] += dy4[j]
                 if need_w:
-                    weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
+                    weight._accumulate(gwt.reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
                 if need_x:
                     self._accumulate(gx)
             out._backward = _backward

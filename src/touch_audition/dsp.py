@@ -128,11 +128,33 @@ def power_spectrogram(signal: np.ndarray) -> np.ndarray:
     return (spec.real ** 2 + spec.imag ** 2)
 
 
+# Frames per log-mel tile. One tile's float64 frames, complex spectrum and
+# power rows take under 1 MB, which the allocator hands back tile after tile;
+# a 10 s clip's whole-clip intermediates (about 8 MB) had their pages faulted
+# in afresh on every call.
+_TILE_FRAMES = 64
+
+
 def log_mel_spectrogram(signal: np.ndarray) -> np.ndarray:
-    """Log-mel features, shape (T, N_MELS), float32."""
-    power = power_spectrogram(signal)
-    mel = power @ mel_filterbank().T
-    return np.log(mel + LOG_FLOOR).astype(np.float32)
+    """Log-mel features, shape (T, N_MELS), float32.
+
+    Runs `power_spectrogram` over one tile of `_TILE_FRAMES` frames at a
+    time; each frame's features depend on its own samples only, so the
+    result does not depend on the tiling.
+    """
+    signal = np.asarray(signal)
+    t = frame_signal(signal).shape[0]  # raises InputTooShortError below one window
+    fb_t = mel_filterbank().T
+    out = np.empty((t, N_MELS), dtype=np.float32)
+    mel = np.empty((min(_TILE_FRAMES, t), N_MELS))
+    for a in range(0, t, _TILE_FRAMES):
+        b = min(a + _TILE_FRAMES, t)
+        power = power_spectrogram(signal[a * HOP_LENGTH : (b - 1) * HOP_LENGTH + WIN_LENGTH])
+        m = np.matmul(power, fb_t, out=mel[: b - a])
+        m += LOG_FLOOR
+        np.log(m, out=m)
+        out[a:b] = m
+    return out
 
 
 def feature_stats(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """DSP front-end tests: WAV I/O, framing, mel filterbank, MELF container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import corrupted
@@ -154,6 +156,37 @@ def test_frame_signal_matches_index_reference(n):
 def test_frame_signal_too_short():
     with pytest.raises(InputTooShortError):
         dsp.frame_signal(np.zeros(511))
+    with pytest.raises(InputTooShortError):
+        dsp.log_mel_spectrogram(np.zeros(511))
+
+
+@pytest.mark.parametrize("t", [1, dsp._TILE_FRAMES + 1, 997])
+def test_log_mel_tiles_match_untiled_composition(t):
+    # One frame; one tile and a one-frame tail; a 10 s clip. Tiling the
+    # frames leaves every bit of the features as the whole-clip composition.
+    n = dsp.WIN_LENGTH + (t - 1) * dsp.HOP_LENGTH + dsp.HOP_LENGTH - 1
+    sig = np.random.default_rng(t).uniform(-1, 1, n).astype(np.float32)
+    assert dsp.num_frames(n) == t
+    power = dsp.power_spectrogram(sig)
+    want = np.log(power @ dsp.mel_filterbank().T + dsp.LOG_FLOOR).astype(np.float32)
+    got = dsp.log_mel_spectrogram(sig)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+def test_log_mel_scratch_is_a_fraction_of_the_spectrum():
+    # A 10 s clip's features are built a few frames at a time: beyond the
+    # output, scratch stays well under the whole clip's complex spectrum
+    # (about 0.25 of it here; the whole-clip composition takes about 2).
+    sig = np.random.default_rng(5).uniform(-1, 1, 10 * dsp.SAMPLE_RATE).astype(np.float32)
+    spectrum = dsp.num_frames(sig.shape[0]) * (dsp.N_FFT // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        feats = dsp.log_mel_spectrogram(sig)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - feats.nbytes < 0.5 * spectrum
 
 
 def test_mel_scale_inverse():
