@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from .dsp import num_frames
 from .errors import InputTooShortError
-from .model import ModelConfig
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 # Deployment budget for the go/no-go check, in units of 1e9 floating ops
 # (2 ops per MAC) for one full 10 s clip.
@@ -21,6 +24,8 @@ BUDGET_G = 11.46
 # grid flags any (convention, length) cell within 10% of it as a
 # reconciliation candidate rather than asserting it as our own count.
 REFERENCE_COST_G = 0.708
+# Clip lengths, in seconds, of the report's compute grid.
+REPORT_LENGTHS_S = tuple(range(1, 11))
 
 
 class LayerSpec(NamedTuple):
@@ -117,9 +122,9 @@ def count_params(config: ModelConfig) -> dict[str, int]:
     return out
 
 
-def _branch_shape_walk(config: ModelConfig, kernel_size: int, n_frames: int, n_mels: int):
+def _branch_shape_walk(config: ModelConfig, kernel_size: int, n_frames: int):
     """Yield (c_in, c_out, t_out, f_out) per conv block, applying pooling."""
-    t, f = n_frames, n_mels
+    t, f = n_frames, config.n_mels
     chans = (1,) + tuple(config.filters)
     for i, (rt, rf) in enumerate(config.dilations):
         kt_eff = effective_kernel(kernel_size, rt)
@@ -138,12 +143,7 @@ def _branch_shape_walk(config: ModelConfig, kernel_size: int, n_frames: int, n_m
         t, f = t_out // 2, f_out // 2
 
 
-def count_flops(
-    config: ModelConfig,
-    n_frames: int,
-    n_mels: int | None = None,
-    convention: str = "mac",
-) -> dict[str, int]:
+def count_flops(config: ModelConfig, n_frames: int, convention: str = "mac") -> dict[str, int]:
     """Multiply-accumulate counts per branch and for the dense tail.
 
     Counts conv and dense multiply-accumulates only (bias adds, batch norm,
@@ -153,11 +153,10 @@ def count_flops(
     if convention not in ("mac", "two_mac"):
         raise ValueError(f"unknown FLOPs convention {convention!r}")
     scale = 1 if convention == "mac" else 2
-    f_bins = config.n_mels if n_mels is None else n_mels
     out: dict[str, int] = {}
     for k in config.kernel_sizes:
         macs = 0
-        for c_in, c_out, t_out, f_out in _branch_shape_walk(config, k, n_frames, f_bins):
+        for c_in, c_out, t_out, f_out in _branch_shape_walk(config, k, n_frames):
             macs += t_out * f_out * c_out * c_in * k * k
         macs += config.filters[-1] * config.embed_dim  # branch embedding
         out[f"branch{k}"] = macs * scale
@@ -252,16 +251,10 @@ class ResourceReport:
 
 def frames_for_seconds(seconds: float) -> int:
     """Frame count for a clip of the given duration (16 kHz, 512/160 framing)."""
-    from .dsp import num_frames
-
     return num_frames(int(round(seconds * 16000)))
 
 
-def build_report(
-    config: ModelConfig,
-    lengths_s: tuple[float, ...] = tuple(range(1, 11)),
-    convention: str = "two_mac",
-) -> ResourceReport:
+def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceReport:
     params = count_params(config)
     min_frames = min_input_frames(config)
     rf_ref = {
@@ -273,7 +266,7 @@ def build_report(
         for k in config.kernel_sizes
     }
     grid: list[FlopsCell] = []
-    for length in lengths_s:
+    for length in REPORT_LENGTHS_S:
         frames = frames_for_seconds(length)
         if frames < min_frames:
             continue

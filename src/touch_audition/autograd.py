@@ -76,7 +76,12 @@ def _channel(v: np.ndarray) -> np.ndarray:
     return v.reshape(1, -1, 1, 1)
 
 
-def _bn_stats(x, running_mean, running_var, training: bool, momentum: float):
+# Batch norm's running-statistics blend factor and variance floor.
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
+def _bn_stats(x, running_mean, running_var, training: bool):
     """Per-channel (mean, var) to normalize with.
 
     Training mode takes biased batch statistics and blends them into the
@@ -87,17 +92,17 @@ def _bn_stats(x, running_mean, running_var, training: bool, momentum: float):
         return running_mean.copy(), running_var.copy()
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var
     return mu, var
 
 
-def _bn_fold(gamma, beta, mu, var, eps: float):
+def _bn_fold(gamma, beta, mu, var):
     """Fold normalization and affine into per-channel (inv_std, scale, shift),
     so that gamma * (x - mu) * inv_std + beta == x * scale + shift."""
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     scale = gamma * inv_std
     return inv_std, scale, beta - mu * scale
 
@@ -449,8 +454,6 @@ class Tensor:
         running_mean: np.ndarray,
         running_var: np.ndarray,
         training: bool,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
     ) -> "Tensor":
         """Per-channel batch normalization over (n, c, t, f).
 
@@ -459,8 +462,8 @@ class Tensor:
         `bn_relu_pool` instead; this op is its unfused reference.
         """
         x = self.data
-        mu, var = _bn_stats(x, running_mean, running_var, training, momentum)
-        inv_std, scale, shift = _bn_fold(gamma.data, beta.data, mu, var, eps)
+        mu, var = _bn_stats(x, running_mean, running_var, training)
+        inv_std, scale, shift = _bn_fold(gamma.data, beta.data, mu, var)
         track = _GRAD_ENABLED.get() and (self.requires_grad or gamma.requires_grad or beta.requires_grad)
         if track:
             xhat = (x - _channel(mu)) * _channel(inv_std)
@@ -483,8 +486,6 @@ class Tensor:
         running_mean: np.ndarray,
         running_var: np.ndarray,
         training: bool,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
     ) -> "Tensor":
         """Batch norm, ReLU and 2x2 average pooling as one op.
 
@@ -499,9 +500,9 @@ class Tensor:
         arXiv:1604.06174).
         """
         x = self.data
-        mu, var = _bn_stats(x, running_mean, running_var, training, momentum)
+        mu, var = _bn_stats(x, running_mean, running_var, training)
         inv_std, scale, shift = (
-            v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var, eps)
+            v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var)
         )
         mu = mu.astype(x.dtype, copy=False)
         out_data = np.empty(_pooled_shape(x.shape), dtype=x.dtype)

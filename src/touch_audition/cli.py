@@ -3,8 +3,8 @@
 Subcommands: synth, featurize, train, eval, sweep, analyze, infer.
 Usage errors exit with code 2 (argparse); domain errors (bad audio, short
 input, malformed manifests/checkpoints) print one line to stderr and exit 1.
-Lengths in seconds (--length, --lengths, --crop-s, --seconds) must be
-positive and finite, counts (--epochs, --batch-size, --runs, --per-class) at
+Lengths in seconds (--length, --lengths, --crop-s, --seconds) and --lr must
+be positive and finite, counts (--epochs, --batch-size, --runs, --per-class) at
 least 1, seeds and --splits counts non-negative integers; anything else is a
 usage error.
 """
@@ -45,9 +45,8 @@ from .training import (
 TASKS = tuple(TASK_CLASSES)
 
 
-def _add_task(p: argparse.ArgumentParser, required: bool = False, default: str | None = "gesture"):
-    kwargs = {"required": True} if required else {"default": default}
-    p.add_argument("--task", choices=TASKS, help="classification task", **kwargs)
+def _add_task(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--task", choices=TASKS, default="gesture", help="classification task")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -173,23 +172,24 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seconds(text: str) -> float:
-    """argparse type for a length in seconds: a positive, finite number."""
+def _positive(text: str) -> float:
+    """argparse type for a length in seconds or a learning rate: a positive,
+    finite number."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive, finite number of seconds, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive, finite number, got {text!r}")
     return value
 
 
 def _length_or_full(text: str) -> float | None:
-    return None if text == "full" else _seconds(text)
+    return None if text == "full" else _positive(text)
 
 
 def _length_list(text: str) -> tuple[float, ...]:
-    return tuple(_seconds(s) for s in text.split(","))
+    return tuple(_positive(s) for s in text.split(","))
 
 
 def _count(text: str, lowest: int = 1) -> int:
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task(p)
     p.add_argument("--per-class", type=_count, default=20, help="clips per class (default 20)")
     p.add_argument("--seed", type=_seed, default=0, help="corpus seed (default 0)")
-    p.add_argument("--seconds", type=_seconds, default=10.0, help="clip length (default 10.0)")
+    p.add_argument("--seconds", type=_positive, default=10.0, help="clip length (default 10.0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     p.add_argument("--epochs", type=_count, default=100, help="training epochs (default 100)")
     p.add_argument("--batch-size", type=_count, default=32, help="batch size (default 32)")
-    p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--crop-s", type=_seconds, default=None,
+    p.add_argument("--lr", type=_positive, default=1e-3, help="Adam learning rate (default 1e-3)")
+    p.add_argument("--crop-s", type=_positive, default=None,
                    help="training crop seconds (default 6 for gesture, 7 otherwise)")
     p.add_argument("--splits", type=_splits, default=None,
                    help="train,val,test totals (default 366,42,84 gesture / 660,80,100 emotion)")

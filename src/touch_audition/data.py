@@ -255,11 +255,8 @@ def crop_frames(
     exactly n frames (random or center start); a clip within FULL_CLIP_SLACK
     frames below n is used whole (the analysis window trims up to 2 frames
     off a sample-aligned clip); anything shorter raises.
-    mode="full" always returns the whole clip.
     """
     t = features.shape[0]
-    if mode == "full":
-        return features
     n = target_frames(length_s)
     if t >= n:
         if mode == "random":

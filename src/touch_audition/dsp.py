@@ -9,6 +9,7 @@ T = 1 + (n - 512) // 160 frames and 10 s of audio yields 997 frames.
 from __future__ import annotations
 
 import struct
+import wave
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +31,6 @@ MELF_VERSION = 1
 
 def load_wav(path: str) -> np.ndarray:
     """Read a 16-bit PCM mono 16 kHz WAV into float32 in [-1, 1)."""
-    import wave
-
     try:
         with wave.open(path, "rb") as w:
             nchan = w.getnchannels()
@@ -58,8 +57,6 @@ def load_wav(path: str) -> np.ndarray:
 
 def save_wav(path: str, signal: np.ndarray) -> None:
     """Write float audio in [-1, 1] as 16-bit PCM mono at 16 kHz."""
-    import wave
-
     pcm = np.clip(np.round(np.asarray(signal, dtype=np.float64) * 32768.0), -32768, 32767)
     pcm = pcm.astype("<i2")
     with wave.open(path, "wb") as w:
@@ -101,17 +98,11 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int = N_MELS,
-    n_fft: int = N_FFT,
-    sample_rate: int = SAMPLE_RATE,
-    fmin: float = FMIN_HZ,
-    fmax: float = FMAX_HZ,
-) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1), peak 1."""
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filterbank, shape (N_MELS, N_FFT // 2 + 1), peak 1."""
+    mel_pts = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
     hz_pts = np.asarray(mel_to_hz(mel_pts))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
     lo = hz_pts[:-2, None]
     center = hz_pts[1:-1, None]
     hi = hz_pts[2:, None]
@@ -204,4 +195,6 @@ def load_melf(path: str) -> np.ndarray:
         data = fh.read()
         if len(data) < 4 * t * f:
             raise AudioFormatError(f"{path}: truncated MELF payload")
-    return np.frombuffer(data, dtype="<f4", count=t * f).reshape(t, f).copy()
+        if len(data) > 4 * t * f:
+            raise AudioFormatError(f"{path}: {len(data) - 4 * t * f} trailing bytes after the MELF payload")
+    return np.frombuffer(data, dtype="<f4").reshape(t, f).copy()

@@ -47,9 +47,6 @@ class Conv2d(Layer):
         dilation: tuple[int, int],
         rng: np.random.Generator,
     ):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.dilation = dilation
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Tensor(
@@ -65,35 +62,21 @@ class Conv2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel batch normalization with running statistics."""
 
-    def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.num_channels = num_channels
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, num_channels: int):
         self.gamma = Tensor(np.ones(num_channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(num_channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(num_channels, dtype=np.float32)
         self.running_var = np.ones(num_channels, dtype=np.float32)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return x.batch_norm(
-            self.gamma, self.beta, self.running_mean, self.running_var,
-            training=training, momentum=self.momentum, eps=self.eps,
-        )
-
     def relu_pool(self, x: Tensor, training: bool) -> Tensor:
         """This normalization, then ReLU, then 2x2 average pooling, fused."""
-        return x.bn_relu_pool(
-            self.gamma, self.beta, self.running_mean, self.running_var,
-            training=training, momentum=self.momentum, eps=self.eps,
-        )
+        return x.bn_relu_pool(self.gamma, self.beta, self.running_mean, self.running_var, training)
 
 
 class Dense(Layer):
     """Fully connected layer: y = x @ W + b, W shaped (in, out)."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Tensor(
             _kaiming_uniform(rng, (in_features, out_features), in_features),
             requires_grad=True,

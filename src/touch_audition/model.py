@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import count_params, min_input_frames
 from .autograd import Tensor, concat, no_grad, softmax
+from .data import TASK_CLASSES
 from .errors import CheckpointFormatError, InputTooShortError
 from .layers import BatchNorm2d, Conv2d, Dense, Layer, named_state
 
@@ -73,6 +75,8 @@ class ModelConfig:
                  *config.kernel_sizes, *config.filters, *sum(config.dilations, ()))
         if (
             min(sizes) < 1
+            or config.task not in TASK_CLASSES
+            or config.n_classes > len(TASK_CLASSES[config.task])  # a class index names a class
             or len(set(config.kernel_sizes)) != len(config.kernel_sizes)  # one branch{k} each
             or len(config.dilations) != len(config.filters)
             or any(len(pair) != 2 for pair in config.dilations)
@@ -86,7 +90,6 @@ class Branch(Layer):
     """One temporal-resolution branch: 3 conv blocks + GAP + embedding."""
 
     def __init__(self, config: ModelConfig, kernel_size: int, rng: np.random.Generator):
-        self.kernel_size = kernel_size
         chans = (1,) + tuple(config.filters)
         # Block i is also set as attributes conv{i} and bn{i}, which is how
         # named_state names it; batch norm draws nothing from rng.
@@ -110,8 +113,6 @@ class Mtrcnn(Layer):
     """The full multi-branch model. Input: (n, 1, T, n_mels) float32."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        from .analysis import min_input_frames  # local import; analysis imports this module
-
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
@@ -206,8 +207,6 @@ def load_checkpoint(path: str) -> Mtrcnn:
     Any malformed file (truncated, trailing bytes, bad config, unknown or
     missing tensors, non-finite values) raises CheckpointFormatError.
     """
-    from .analysis import count_params  # local import; analysis imports this module
-
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -34,9 +34,10 @@ from .data import (
     target_frames,
     write_manifest,
 )
-from .errors import ManifestError, TrainingDivergedError
+from .errors import AudioFormatError, ManifestError, TrainingDivergedError
 from .layers import named_state
 from .model import ModelConfig, Mtrcnn, save_checkpoint
+from .optim import Adam
 from .stats import shapiro_wilk
 
 # Seed-stream tags so subsystems draw independent randomness.
@@ -104,9 +105,12 @@ def featurize_rows(manifest_path: str, rows: list[ManifestRow]) -> list[np.ndarr
         path = resolve_path(manifest_path, row)
         if path not in cache:
             if path.endswith(".melf"):
-                cache[path] = dsp.load_melf(path)
+                feats = dsp.load_melf(path)
+                if feats.shape[1] != dsp.N_MELS:
+                    raise AudioFormatError(f"{path}: {feats.shape[1]} mel bins, expected {dsp.N_MELS}")
             else:
-                cache[path] = dsp.log_mel_spectrogram(dsp.load_wav(path))
+                feats = dsp.log_mel_spectrogram(dsp.load_wav(path))
+            cache[path] = feats
         out.append(cache[path])
     return out
 
@@ -147,9 +151,11 @@ def evaluate(
             else:
                 groups = [idx]
             for g in groups:
-                mode = "full" if length_s is None else "center"
-                x = _stack_crops(features, g, length_s or 0.0, mode, None)
-                x = model.normalize(x)
+                if length_s is None:
+                    x = np.stack([features[j] for j in g])[:, None]
+                else:
+                    x = _stack_crops(features, g, length_s, "center", None)
+                x = model.normalize(x)  # rebinding frees the raw stack before forward
                 pred = model.forward(x).data.argmax(axis=1)
                 for j, p in zip(g, pred):
                     confusion[labels[j], p] += 1
@@ -170,8 +176,6 @@ def train_run(
 ) -> tuple[Mtrcnn, list[dict]]:
     """One training run; returns the model, with the weights of its best
     validation epoch (the first one, on ties), and the per-epoch history."""
-    from .optim import Adam
-
     init_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_INIT]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_SHUFFLE]))
     crop_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_CROP]))

@@ -305,7 +305,7 @@ def test_batch_norm_eval_grads_and_running_stats():
     t = Tensor(x, requires_grad=True)
     g = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    out = t.batch_norm(g, b, rm, rv, training=True, momentum=0.1)
+    out = t.batch_norm(g, b, rm, rv, training=True)
     # Running buffers blend toward batch stats.
     assert np.allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)))
     assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)))

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/tracing.py) patches this package's
+functions and methods by name. A rename or deletion here would break
+`perfbench/run.py --trace 1` without failing anything under tests/, so this
+installs the unchanged tracer against the package and takes it off again."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+from touch_audition import dsp, model, optim, training
+from touch_audition.autograd import Tensor
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    owners = (dsp, model, training, model.Mtrcnn, optim.Adam, Tensor)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert vars(Tensor)["conv2d"] is not before[-1]["conv2d"]
+        assert training.evaluate is not before[2]["evaluate"]
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        now = vars(owner)
+        assert all(now[name] is value for name, value in names.items()), owner

@@ -13,6 +13,7 @@ import pytest
 from touch_audition import dsp
 from touch_audition.cli import main
 from touch_audition.data import GESTURES, read_manifest, write_manifest
+from touch_audition.model import ModelConfig, Mtrcnn, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,29 @@ def test_infer_rejects_short_clip(trained, tmp_path, capsys):
     assert err.startswith("error:") and "110" in err
 
 
+@pytest.mark.parametrize("config", [ModelConfig(task="gestuse"), ModelConfig(n_classes=9)],
+                         ids=["unknown-task", "too-many-classes"])
+def test_infer_rejects_checkpoint_config_its_task_cannot_label(trained, tmp_path, capsys, config):
+    ckpt = str(tmp_path / "bad.ckpt")
+    save_checkpoint(ckpt, Mtrcnn(config))
+    row = read_manifest(trained["manifest"])[0]
+    wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
+    assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad config blob" in err and err.count("\n") == 1
+
+
+def test_eval_rejects_melf_with_wrong_mel_bins(trained, tmp_path, capsys):
+    melf = str(tmp_path / "narrow.melf")
+    dsp.save_melf(melf, np.zeros((300, 32), dtype=np.float32))
+    row = read_manifest(trained["manifest"])[0]
+    manifest = str(tmp_path / "manifest.csv")
+    write_manifest(manifest, [replace(row, path=melf, split="")])
+    assert main(["eval", "--checkpoint", trained["ckpt"], "--manifest", manifest, "--split", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "32 mel bins" in err and err.count("\n") == 1
+
+
 def test_train_stops_on_non_finite_loss(tiny_corpus, tmp_path, capsys):
     out = str(tmp_path / "diverged")
     with np.errstate(all="ignore"):  # the overflow on the way to NaN is the point
@@ -198,6 +222,11 @@ def test_usage_errors_exit_2(trained, tmp_path, capsys):
         ["sweep", *ckpt, "--lengths", "1,x"],
         ["sweep", *ckpt, "--lengths", "2,-1"],
         [*train, "--crop-s", "nan"],
+        # So must the learning rate.
+        [*train, "--lr", "nan"],
+        [*train, "--lr", "inf"],
+        [*train, "--lr", "0"],
+        [*train, "--lr", "-1"],
         # Counts must be at least 1, seeds and split counts non-negative.
         [*train, "--batch-size", "0"],
         [*train, "--batch-size", "-4"],

@@ -298,7 +298,8 @@ def test_melf_rejects_bad_bytes(tmp_path):
     feats = np.zeros((10, 64), dtype=np.float32)
     dsp.save_melf(trunc, feats)
     data = open(trunc, "rb").read()
-    for blob in (data[: len(data) // 2], data[:10]):  # payload, then header
+    # Payload cut short, header cut short, bytes after the payload.
+    for blob in (data[: len(data) // 2], data[:10], data + b"junk"):
         with open(trunc, "wb") as fh:
             fh.write(blob)
         with pytest.raises(AudioFormatError):

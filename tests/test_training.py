@@ -216,9 +216,12 @@ def test_run_training_requires_train_and_val(tiny_corpus, tmp_path):
 
 
 def test_evaluate_groups_full_clips_by_length():
-    rng = np.random.default_rng(5)
+    # Each clip has its own spectral profile, so the untrained model does not
+    # give every clip one class, and pairing a clip with another clip's
+    # prediction changes the confusion matrix.
+    rng = np.random.default_rng(57)
     model = Mtrcnn(ModelConfig(), rng)
-    feats = [rng.standard_normal((t, 64)).astype(np.float32)
+    feats = [(rng.standard_normal((t, 64)) + 4 * rng.standard_normal(64)).astype(np.float32)
              for t in (997, 997, 597, 297)]
     labels = np.array([0, 1, 2, 3])
     res = evaluate(model, feats, labels, 6, length_s=None, batch_size=4)
@@ -226,6 +229,12 @@ def test_evaluate_groups_full_clips_by_length():
     assert res.confusion.shape == (6, 6)
     assert res.confusion.sum() == 4
     assert res.accuracy == np.trace(res.confusion) / 4
+    preds = [model.predict(model.normalize(f[None, None]))[0][0] for f in feats]
+    assert len(set(preds)) > 2
+    expected = np.zeros((6, 6), dtype=np.int64)
+    for label, pred in zip(labels, preds):
+        expected[label, pred] += 1
+    assert np.array_equal(res.confusion, expected)
 
 
 def test_evaluate_center_crop_is_deterministic():
