@@ -47,13 +47,21 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# Frames per forward tile: conv2d's output frames and bn_relu_pool's pooled
-# frames. Short enough that a tile's channels-first lowering, its (o, rows)
-# accumulator and the tail's rectified rows stay in cache, long enough that
-# each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread, the nine
-# conv forwards took about as long with tiles of 32 and 64 frames, and
-# longer with 16 (+45 %) or 128 (+13 %); 32 keeps the buffers small.
+# Output frames per conv2d forward tile. Short enough that a tile's
+# channels-first lowering and its (o, rows) accumulator stay in cache, long
+# enough that each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread,
+# the nine conv forwards took about as long with tiles of 32 and 64 frames,
+# and longer with 16 (+45 %) or 128 (+13 %); 32 keeps the buffers small.
 _TILE_FRAMES = 32
+
+# Input bytes per tile of the fused conv-block tail: `bn_relu_pool`'s forward
+# and backward and the training-mode batch statistics (`_bn_stats`) all walk
+# x in the same tiles, whole channels of one sample, x[s, c0:c1], which are
+# contiguous; a tile holds at least one channel. Counted in bytes, not
+# elements, so that a tile and the float64 scratch built from it stay in
+# cache whatever the dtype. At the 32 x 6 s training shapes with one BLAS
+# thread, tiles of 64, 256 and 512 KB were no faster.
+_TAIL_TILE_BYTES = 128 * 1024
 
 
 def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, out: np.ndarray) -> np.ndarray:
@@ -81,17 +89,48 @@ _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 
 
+def _channel_groups(x: np.ndarray) -> list[tuple[int, int]]:
+    """Spans (c0, c1) of whole channels of x (n, c, t, f), each one tile of
+    at most `_TAIL_TILE_BYTES` per sample, and never empty; the last may be
+    shorter."""
+    c = x.shape[1]
+    per = max(1, _TAIL_TILE_BYTES // (x.shape[2] * x.shape[3] * x.itemsize))
+    return [(c0, min(c0 + per, c)) for c0 in range(0, c, per)]
+
+
 def _bn_stats(x, running_mean, running_var, training: bool):
-    """Per-channel (mean, var) to normalize with.
+    """Per-channel (mean, var) to normalize with, in x's dtype.
 
     Training mode takes biased batch statistics and blends them into the
     running buffers in place; eval mode returns copies of the buffers, so a
     later update cannot change what a pending backward recomputes.
+
+    The batch statistics take one pass over x, one channel group
+    (`_channel_groups`) of one sample at a time: the group is copied to
+    float64, and each channel's sum and then its sum of squares about its
+    own mean are taken while the group is in cache. The per-sample results
+    merge by the pairwise update of Chan, Golub & LeVeque (1979); all samples
+    hold m values per channel, so it reads mean = the mean of the sample
+    means and M2 = sum M2_s + m * sum (mean_s - mean)^2.
     """
     if not training:
         return running_mean.copy(), running_var.copy()
-    mu = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    n, c = x.shape[:2]
+    m = x.shape[2] * x.shape[3]
+    means = np.empty((n, c))
+    m2 = np.empty((n, c))
+    groups = _channel_groups(x)
+    d = np.empty((groups[0][1], m))
+    for s in range(n):
+        for c0, c1 in groups:
+            ds = d[: c1 - c0]
+            np.copyto(ds, x[s, c0:c1].reshape(c1 - c0, m))
+            means[s, c0:c1] = mu_s = ds.sum(axis=1) / m
+            ds -= mu_s[:, None]
+            m2[s, c0:c1] = np.matmul(ds[:, None], ds[:, :, None])[:, 0, 0]  # a dot per channel
+    mu = means.mean(axis=0)
+    var = (m2.sum(axis=0) + m * np.square(means - mu).sum(axis=0)) / (n * m)
+    mu, var = mu.astype(x.dtype), var.astype(x.dtype)
     running_mean *= 1.0 - _BN_MOMENTUM
     running_mean += _BN_MOMENTUM * mu
     running_var *= 1.0 - _BN_MOMENTUM
@@ -163,16 +202,20 @@ def _pool2x2(x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _unpool2x2(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Backward of `_pool2x2`: a new `shape` buffer with grad * 0.25 in each
-    window's four cells and zeros in a dropped odd row or column."""
+def _unpool2x2(grad: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Backward of `_pool2x2`: fills the input-shaped buffer g with
+    grad * 0.25 in each window's four cells and zeros in a dropped odd row
+    or column."""
     t2, f2 = grad.shape[2], grad.shape[3]
-    g = np.empty(shape, dtype=grad.dtype)
     spread = grad * 0.25
-    g[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
-    g[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2] = spread
-    g[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
-    g[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2] = spread
+    # Each window's row, built contiguous and copied into both of its rows:
+    # two strided writes of single cells instead of four.
+    rows = np.empty((*grad.shape, 2), dtype=g.dtype)
+    rows[..., 0] = spread
+    rows[..., 1] = spread
+    rows = rows.reshape(*grad.shape[:3], 2 * f2)
+    g[:, :, 0 : t2 * 2 : 2, : f2 * 2] = rows
+    g[:, :, 1 : t2 * 2 : 2, : f2 * 2] = rows
     g[:, :, t2 * 2 :] = 0
     g[:, :, :, f2 * 2 :] = 0
     return g
@@ -331,7 +374,7 @@ class Tensor:
         out = Tensor._make(_pool2x2(self.data), (self,))
         if out.requires_grad:
             def _backward():
-                self._accumulate(_unpool2x2(out.grad, self.data.shape))
+                self._accumulate(_unpool2x2(out.grad, np.empty(self.data.shape, out.grad.dtype)))
             out._backward = _backward
         return out
 
@@ -490,14 +533,18 @@ class Tensor:
         """Batch norm, ReLU and 2x2 average pooling as one op.
 
         Same result as `batch_norm(...).relu().avg_pool2d()`, but the graph
-        keeps only the input (this op's parent) and per-channel vectors.
-        Forward never builds the normalized, rectified array whole: per
-        sample, it fills one tile-sized buffer with the 2 * `_TILE_FRAMES`
-        input frames behind one tile of pooled frames, rectifies it and pools
-        it into the output. Backward recomputes the full-size array with the
-        same expression, so the ReLU mask has the same bits, and recomputes
-        xhat from the input (recompute-in-backward, Chen et al.,
-        arXiv:1604.06174).
+        keeps only the input (this op's parent) and per-channel vectors, and
+        no pass holds a full-size array besides the input gradient. Every
+        pass walks x in the batch statistics' tiles, whole channels of one
+        sample (`_channel_groups`). Forward normalizes, rectifies and pools
+        one tile at a time in one reused buffer. Backward recomputes from
+        the input (Chen et al., arXiv:1604.06174) in two passes. The first
+        rebuilds the ReLU mask with the forward's expression, so it has the
+        same bits, writes the unpooled, masked gradient gp into the input
+        gradient, and sums gp (d beta) and gp * (x - mean) per channel. The
+        second turns gp into the input gradient in place: scale * gp, less
+        scale * (d beta + inv_std * d gamma * (x - mean)) / m in training
+        mode, for the m values per channel.
         """
         x = self.data
         mu, var = _bn_stats(x, running_mean, running_var, training)
@@ -505,28 +552,51 @@ class Tensor:
             v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var)
         )
         mu = mu.astype(x.dtype, copy=False)
+        n, c, t, f = x.shape
         out_data = np.empty(_pooled_shape(x.shape), dtype=x.dtype)
-        t2 = out_data.shape[2]
-        tile = min(_TILE_FRAMES, t2)
-        h_tile = np.empty((1, x.shape[1], 2 * tile, x.shape[3]), dtype=x.dtype)
-        for s in range(x.shape[0]):
-            for u0 in range(0, t2, tile):
-                u1 = min(u0 + tile, t2)
-                h = _bn_affine(x[s : s + 1, :, 2 * u0 : 2 * u1], scale, shift,
-                               out=h_tile[:, :, : 2 * (u1 - u0)])
+        groups = _channel_groups(x)
+        h_buf = np.empty((1, groups[0][1], t, f), dtype=x.dtype)
+        for s in range(n):
+            for c0, c1 in groups:
+                h = _bn_affine(x[s : s + 1, c0:c1], scale[c0:c1], shift[c0:c1],
+                               out=h_buf[:, : c1 - c0])
                 np.maximum(h, 0, out=h)
-                _pool2x2(h, out=out_data[s : s + 1, :, u0:u1])
+                _pool2x2(h, out=out_data[s : s + 1, c0:c1])
         out = Tensor._make(out_data, (self, gamma, beta))
         if out.requires_grad:
             def _backward():
-                g = _unpool2x2(out.grad, x.shape)
-                h = _bn_affine(x, scale, shift)
-                np.greater(h, 0, out=h)  # the ReLU mask, as 1.0 / 0.0
-                g *= h
-                np.subtract(x, _channel(mu), out=h)
-                h *= _channel(inv_std)
-                gx, ggamma, gbeta = _bn_backward(g, h, scale, training)
-                del g
+                gx = np.empty_like(x)
+                gbeta = np.zeros(c)  # sum gp, then d beta
+                gxc = np.zeros(c)  # sum gp * (x - mean)
+                h_buf = np.empty((1, groups[0][1], t, f), dtype=x.dtype)
+                ones = np.ones(t * f, dtype=x.dtype)
+                for s in range(n):
+                    for c0, c1 in groups:
+                        xs, gp = x[s : s + 1, c0:c1], gx[s : s + 1, c0:c1]
+                        h = _bn_affine(xs, scale[c0:c1], shift[c0:c1], out=h_buf[:, : c1 - c0])
+                        np.greater(h, 0, out=h)  # the ReLU mask, as 1.0 / 0.0
+                        _unpool2x2(out.grad[s : s + 1, c0:c1], gp)
+                        gp *= h
+                        # Per-channel sums as BLAS products, two to four times
+                        # faster than numpy's pairwise sum on these rows.
+                        gp2 = gp.reshape(c1 - c0, -1)
+                        h2 = np.subtract(xs, _channel(mu[c0:c1]), out=h).reshape(c1 - c0, -1)
+                        gbeta[c0:c1] += gp2 @ ones
+                        gxc[c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
+                ggamma = gxc * inv_std
+                m = n * t * f
+                k = _channel((scale * inv_std * ggamma / m).astype(x.dtype))
+                b = _channel((scale * gbeta / m).astype(x.dtype))
+                for s in range(n):
+                    for c0, c1 in groups:
+                        gp = gx[s : s + 1, c0:c1]
+                        gp *= _channel(scale[c0:c1])
+                        if training:
+                            h = np.subtract(x[s : s + 1, c0:c1], _channel(mu[c0:c1]),
+                                            out=h_buf[:, : c1 - c0])
+                            h *= k[:, c0:c1]
+                            h += b[:, c0:c1]
+                            gp -= h
                 _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
             out._backward = _backward
         return out

@@ -6,7 +6,8 @@ class TouchAuditionError(Exception):
 
 
 class AudioFormatError(TouchAuditionError):
-    """WAV file is not 16-bit PCM mono at the expected rate."""
+    """WAV file is not 16-bit PCM mono at the expected rate, or features do
+    not have the model's mel-bin count."""
 
 
 class InputTooShortError(TouchAuditionError):

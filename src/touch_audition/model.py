@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import count_params, min_input_frames
 from .autograd import Tensor, concat, no_grad, softmax
 from .data import TASK_CLASSES
-from .errors import CheckpointFormatError, InputTooShortError
+from .dsp import N_MELS
+from .errors import AudioFormatError, CheckpointFormatError, InputTooShortError
 from .layers import BatchNorm2d, Conv2d, Dense, Layer, named_state
 
 CHECKPOINT_MAGIC = b"MTRC"
@@ -29,7 +30,7 @@ CHECKPOINT_VERSION = 1
 class ModelConfig:
     task: str = "gesture"
     n_classes: int = 6
-    n_mels: int = 64
+    n_mels: int = N_MELS
     kernel_sizes: tuple[int, ...] = (3, 5, 7)
     filters: tuple[int, ...] = (16, 32, 64)
     dilations: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (3, 1))
@@ -77,6 +78,7 @@ class ModelConfig:
             min(sizes) < 1
             or config.task not in TASK_CLASSES
             or config.n_classes > len(TASK_CLASSES[config.task])  # a class index names a class
+            or config.n_mels != N_MELS  # the bins the log-mel front end makes
             or len(set(config.kernel_sizes)) != len(config.kernel_sizes)  # one branch{k} each
             or len(config.dilations) != len(config.filters)
             or any(len(pair) != 2 for pair in config.dilations)
@@ -143,7 +145,7 @@ class Mtrcnn(Layer):
                 f"{self.min_frames} ({self.min_frames / 100:.2f} s at 10 ms hop)"
             )
         if f != self.config.n_mels:
-            raise ValueError(f"expected {self.config.n_mels} mel bins, got {f}")
+            raise AudioFormatError(f"expected {self.config.n_mels} mel bins, got {f}")
         if training and self.config.dropout > 0.0 and dropout_rng is None:
             raise ValueError("training forward pass needs an explicit dropout_rng")
         embs = [branch(x, training) for branch in self.branches]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err
 
+from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
 from touch_audition.optim import Adam
 
@@ -365,9 +366,8 @@ def test_bn_relu_pool_matches_unfused_composition(training):
 
 @pytest.mark.parametrize("training", [True, False])
 def test_bn_relu_pool_long_input_matches_unfused_composition(training):
-    # 203 frames: 101 pooled frames, a prime count, so the forward's time
-    # tiles split them several times with a partial last tile; the odd
-    # trailing frame is dropped.
+    # 203 frames: 101 pooled frames, a prime count; the odd trailing frame
+    # is dropped.
     n, c, t, f = 2, 3, 203, 7
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((n, c, t, f)))
@@ -381,8 +381,10 @@ def test_bn_relu_pool_long_input_matches_unfused_composition(training):
 
 
 def test_bn_relu_pool_forward_never_builds_a_full_size_array():
-    # A no-grad forward rectifies a few frames at a time: beyond its
+    # A no-grad forward rectifies one channel group at a time: beyond its
     # quarter-size output it holds one tile, not a second full-size array.
+    # Float64 with 4 channels of 128,000 bytes: a tile budget counted in
+    # elements rather than bytes would put all four in one tile and fail.
     c, t, f = 4, 400, 40
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     gamma, beta = (Tensor(v) for v in _gamma_beta(c))
@@ -395,6 +397,73 @@ def test_bn_relu_pool_forward_never_builds_a_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak - out.data.nbytes < 0.5 * x.data.nbytes
+
+
+def _uneven_groups(monkeypatch, x: np.ndarray) -> None:
+    """Shrink the tail's tile budget to two channels of x, so its channels
+    split unevenly into groups: 5 channels as 2, 2, 1."""
+    monkeypatch.setattr(autograd, "_TAIL_TILE_BYTES", 2 * x[0, 0].nbytes)
+    assert autograd._channel_groups(x) == [(0, 2), (2, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_relu_pool_channel_groups_match_unfused_composition(monkeypatch, training):
+    # Odd t and f: the dropped row and column get no pooled gradient, only
+    # the batch-statistics terms in training mode.
+    n, c, t, f = 4, 5, 9, 7
+    rm, rv = RNG.standard_normal(c), RNG.uniform(0.5, 2.0, c)
+    x = kink_free_bn_input(RNG, (n, c, t, f), rm, np.sqrt(rv + 1e-5))
+    gamma, beta = _gamma_beta(c)
+    _uneven_groups(monkeypatch, x)
+    bufs = [(rm.copy(), rv.copy()) for _ in range(2)]
+    fused = Tensor(x).bn_relu_pool(Tensor(gamma), Tensor(beta), *bufs[0], training=training)
+    ref = Tensor(x).batch_norm(Tensor(gamma), Tensor(beta), *bufs[1], training=training)
+    ref = ref.relu().avg_pool2d()
+    assert rel_err(fused.data, ref.data) < 1e-12
+    assert (fused.data > 0).any() and (fused.data == 0).any()
+    for got, want in zip(bufs[0], bufs[1]):
+        assert np.array_equal(got, want)
+
+    def build(ts):
+        out = ts["x"].bn_relu_pool(ts["gamma"], ts["beta"], rm.copy(), rv.copy(), training=training)
+        return (out * ts["c"]).sum()
+
+    check_grads(build, {"x": x, "gamma": gamma, "beta": beta,
+                        "c": RNG.standard_normal((n, c, t // 2, f // 2))})
+
+
+def test_bn_stats_float32_far_from_zero(monkeypatch):
+    # |mean| >> std in float32: each group is centred in float64 before it is
+    # squared, so the variance is off only by its rounding to float32
+    # (3.6e-8 here; a float32 `x.var` read 6.9e-8).
+    rng = np.random.default_rng(29)
+    x = (100.0 + 0.1 * rng.standard_normal((6, 5, 33, 17))).astype(np.float32)
+    _uneven_groups(monkeypatch, x)
+    mu, var = autograd._bn_stats(x, np.zeros(5), np.ones(5), training=True)
+    want = x.astype(np.float64)
+    assert mu.dtype == var.dtype == np.float32
+    assert rel_err(mu, want.mean(axis=(0, 2, 3))) < 1e-7
+    assert np.abs(var / want.var(axis=(0, 2, 3)) - 1).max() < 1e-6
+
+
+def test_bn_relu_pool_backward_scratch_is_one_tile():
+    # Training-mode backward walks x one channel group at a time: beyond the
+    # input gradient and the incoming gradient it holds one tile and a few
+    # smaller buffers (0.25 of the input here), not a full-size unpooled
+    # gradient plus a full-size recomputed array (1.07).
+    n, c, t, f = 4, 8, 100, 40
+    x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
+    gamma, beta = (Tensor(v, requires_grad=True) for v in _gamma_beta(c))
+    loss = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=True).sum()
+    incoming = n * c * (t // 2) * (f // 2) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - incoming - x.grad.nbytes < 0.5 * x.data.nbytes
 
 
 def test_bn_relu_pool_training_grads():

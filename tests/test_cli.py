@@ -175,6 +175,18 @@ def test_infer_rejects_checkpoint_config_its_task_cannot_label(trained, tmp_path
     assert err.startswith("error:") and "bad config blob" in err and err.count("\n") == 1
 
 
+def test_infer_rejects_checkpoint_with_wrong_mel_bins(trained, tmp_path, capsys):
+    # A model built for 32 bins cannot take the front end's 64: refused on
+    # load, not by a numpy broadcast error in normalize.
+    ckpt = str(tmp_path / "narrow.ckpt")
+    save_checkpoint(ckpt, Mtrcnn(ModelConfig(n_mels=32)))
+    row = read_manifest(trained["manifest"])[0]
+    wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
+    assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad config blob" in err and err.count("\n") == 1
+
+
 def test_eval_rejects_melf_with_wrong_mel_bins(trained, tmp_path, capsys):
     melf = str(tmp_path / "narrow.melf")
     dsp.save_melf(melf, np.zeros((300, 32), dtype=np.float32))
@@ -188,11 +200,14 @@ def test_eval_rejects_melf_with_wrong_mel_bins(trained, tmp_path, capsys):
 
 def test_train_stops_on_non_finite_loss(tiny_corpus, tmp_path, capsys):
     out = str(tmp_path / "diverged")
+    # At 1e20 the first updates overflow float32 outright. At 1e10 the loss
+    # grows chaotically, and whether it reaches NaN within two epochs turns
+    # on its lowest bits.
     with np.errstate(all="ignore"):  # the overflow on the way to NaN is the point
         rc = main([
             "train", "--manifest", tiny_corpus, "--task", "gesture",
             "--out", out, "--epochs", "2", "--batch-size", "8",
-            "--crop-s", "1.2", "--splits", "12,3,3", "--seed", "3", "--lr", "1e10",
+            "--crop-s", "1.2", "--splits", "12,3,3", "--seed", "3", "--lr", "1e20",
         ])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()

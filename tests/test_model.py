@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from touch_audition.analysis import count_params, min_input_frames
-from touch_audition.errors import CheckpointFormatError, InputTooShortError, TouchAuditionError
+from touch_audition.errors import (
+    AudioFormatError,
+    CheckpointFormatError,
+    InputTooShortError,
+    TouchAuditionError,
+)
 from touch_audition.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -70,7 +75,7 @@ def test_forward_minimum_length_contract():
     assert out.data.shape == (2, 6)
     with pytest.raises(InputTooShortError):
         model.forward(small_input(109))
-    with pytest.raises(ValueError):
+    with pytest.raises(AudioFormatError, match="expected 64 mel bins, got 32"):
         model.forward(RNG.standard_normal((1, 1, 110, 32)).astype(np.float32))
 
 
@@ -226,6 +231,7 @@ def test_config_blob_round_trip():
         ModelConfig(kernel_sizes=(3, 3)).to_blob(),
         ModelConfig(dilations=((1, 1), (2, 1))).to_blob(),
         ModelConfig(dropout=1.0).to_blob(),
+        ModelConfig(n_mels=32).to_blob(),  # the front end makes 64 bins
         b"\xff",
     ]:
         with pytest.raises(CheckpointFormatError):
