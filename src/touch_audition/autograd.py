@@ -584,19 +584,21 @@ class Tensor:
                         gbeta[c0:c1] += gp2 @ ones
                         gxc[c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
                 ggamma = gxc * inv_std
-                m = n * t * f
-                k = _channel((scale * inv_std * ggamma / m).astype(x.dtype))
-                b = _channel((scale * gbeta / m).astype(x.dtype))
-                for s in range(n):
-                    for c0, c1 in groups:
-                        gp = gx[s : s + 1, c0:c1]
-                        gp *= _channel(scale[c0:c1])
-                        if training:
+                if training:
+                    m = n * t * f
+                    k = _channel((scale * inv_std * ggamma / m).astype(x.dtype))
+                    b = _channel((scale * gbeta / m).astype(x.dtype))
+                    for s in range(n):
+                        for c0, c1 in groups:
+                            gp = gx[s : s + 1, c0:c1]
+                            gp *= _channel(scale[c0:c1])
                             h = np.subtract(x[s : s + 1, c0:c1], _channel(mu[c0:c1]),
                                             out=h_buf[:, : c1 - c0])
                             h *= k[:, c0:c1]
                             h += b[:, c0:c1]
                             gp -= h
+                else:
+                    gx *= _channel(scale)
                 _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
             out._backward = _backward
         return out

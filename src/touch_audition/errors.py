@@ -23,4 +23,5 @@ class ManifestError(TouchAuditionError):
 
 
 class TrainingDivergedError(TouchAuditionError):
-    """Training produced a non-finite loss; the run stops instead of going on."""
+    """Training produced a non-finite loss, parameter or batch-norm buffer;
+    the run stops instead of going on."""

@@ -189,7 +189,8 @@ def train_run(
 
     opt = Adam(list(model.parameters().values()), lr=settings.lr)
     # Every parameter and buffer array; Adam and batch norm update them in place.
-    state = [v.data if isinstance(v, Tensor) else v for _, v in named_state(model)]
+    named = {name: v.data if isinstance(v, Tensor) else v for name, v in named_state(model)}
+    state = list(named.values())
     crop_s = settings.crop()
     history: list[dict] = []
     best_acc, best_state = 0.0, []
@@ -209,6 +210,15 @@ def train_run(
             opt.zero_grad()
             loss.backward()
             opt.step()
+            # A finite loss does not make a finite model: a batch variance
+            # past the float32 range leaves a block outputting beta alone
+            # and its running variance inf.
+            bad = [name for name, a in named.items() if not np.isfinite(a).all()]
+            if bad:
+                raise TrainingDivergedError(
+                    f"non-finite training state ({', '.join(bad)}) in epoch {epoch}; "
+                    f"lower the learning rate (now {settings.lr:g}) or check the features"
+                )
             total_loss += float(loss.data) * len(idx)
             total_n += len(idx)
         val = evaluate(model, val_features, val_labels, config.n_classes,

@@ -365,19 +365,23 @@ def test_bn_relu_pool_matches_unfused_composition(training):
 
 
 @pytest.mark.parametrize("training", [True, False])
-def test_bn_relu_pool_long_input_matches_unfused_composition(training):
+def test_bn_relu_pool_long_input_matches_unfused_composition(monkeypatch, training):
     # 203 frames: 101 pooled frames, a prime count; the odd trailing frame
-    # is dropped.
-    n, c, t, f = 2, 3, 203, 7
+    # is dropped. Five channels split into tiles of 2, 2 and 1.
+    n, c, t, f = 2, 5, 203, 7
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((n, c, t, f)))
     gamma, beta = (Tensor(v) for v in _gamma_beta(c, rng))
-    bufs = [(np.zeros(c), np.ones(c)) for _ in range(2)]
+    _uneven_groups(monkeypatch, x.data)
+    rm, rv = 0.1 * rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+    bufs = [(rm.copy(), rv.copy()) for _ in range(2)]
     fused = x.bn_relu_pool(gamma, beta, *bufs[0], training=training)
     ref = x.batch_norm(gamma, beta, *bufs[1], training=training).relu().avg_pool2d()
     assert fused.data.shape == ref.data.shape == (n, c, 101, 3)
     assert rel_err(fused.data, ref.data) < 1e-12
     assert (fused.data > 0).any() and (fused.data == 0).any()
+    for got, want in zip(bufs[0], bufs[1]):
+        assert np.array_equal(got, want)
 
 
 def test_bn_relu_pool_forward_never_builds_a_full_size_array():
@@ -407,22 +411,15 @@ def _uneven_groups(monkeypatch, x: np.ndarray) -> None:
 
 
 @pytest.mark.parametrize("training", [True, False])
-def test_bn_relu_pool_channel_groups_match_unfused_composition(monkeypatch, training):
-    # Odd t and f: the dropped row and column get no pooled gradient, only
-    # the batch-statistics terms in training mode.
+def test_bn_relu_pool_channel_groups_grads(monkeypatch, training):
+    # Tiles of 2, 2 and 1 channels, and odd t and f: the dropped row and
+    # column get no pooled gradient, only the batch-statistics terms in
+    # training mode.
     n, c, t, f = 4, 5, 9, 7
     rm, rv = RNG.standard_normal(c), RNG.uniform(0.5, 2.0, c)
     x = kink_free_bn_input(RNG, (n, c, t, f), rm, np.sqrt(rv + 1e-5))
     gamma, beta = _gamma_beta(c)
     _uneven_groups(monkeypatch, x)
-    bufs = [(rm.copy(), rv.copy()) for _ in range(2)]
-    fused = Tensor(x).bn_relu_pool(Tensor(gamma), Tensor(beta), *bufs[0], training=training)
-    ref = Tensor(x).batch_norm(Tensor(gamma), Tensor(beta), *bufs[1], training=training)
-    ref = ref.relu().avg_pool2d()
-    assert rel_err(fused.data, ref.data) < 1e-12
-    assert (fused.data > 0).any() and (fused.data == 0).any()
-    for got, want in zip(bufs[0], bufs[1]):
-        assert np.array_equal(got, want)
 
     def build(ts):
         out = ts["x"].bn_relu_pool(ts["gamma"], ts["beta"], rm.copy(), rv.copy(), training=training)
