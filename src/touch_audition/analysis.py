@@ -11,7 +11,8 @@ import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dsp import num_frames
+from .data import FRAMES_PER_SECOND
+from .dsp import N_MELS, SAMPLE_RATE, num_frames
 from .errors import InputTooShortError
 
 if TYPE_CHECKING:
@@ -124,7 +125,7 @@ def count_params(config: ModelConfig) -> dict[str, int]:
 
 def _branch_shape_walk(config: ModelConfig, kernel_size: int, n_frames: int):
     """Yield (c_in, c_out, t_out, f_out) per conv block, applying pooling."""
-    t, f = n_frames, config.n_mels
+    t, f = n_frames, N_MELS
     chans = (1,) + tuple(config.filters)
     for i, (rt, rf) in enumerate(config.dilations):
         kt_eff = effective_kernel(kernel_size, rt)
@@ -250,8 +251,8 @@ class ResourceReport:
 
 
 def frames_for_seconds(seconds: float) -> int:
-    """Frame count for a clip of the given duration (16 kHz, 512/160 framing)."""
-    return num_frames(int(round(seconds * 16000)))
+    """Frame count for a clip of the given duration."""
+    return num_frames(int(round(seconds * SAMPLE_RATE)))
 
 
 def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceReport:
@@ -286,7 +287,7 @@ def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceRe
         params=params,
         model_bytes=4 * params["total"],
         min_frames=min_frames,
-        min_seconds=min_frames / 100.0,
+        min_seconds=min_frames / FRAMES_PER_SECOND,
         rf_reference=rf_ref,
         rf_exact=rf_exact,
         flops_grid=grid,

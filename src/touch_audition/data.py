@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import dsp
 from .errors import InputTooShortError, ManifestError
 
 GESTURES = ("hold", "pat", "poke", "tickle", "tap", "rub")
@@ -235,7 +236,7 @@ def assign_splits(
     return [replace(r, split=assigned.get(id(r), "")) for r in rows]
 
 
-FRAMES_PER_SECOND = 100          # 10 ms hop
+FRAMES_PER_SECOND = dsp.SAMPLE_RATE // dsp.HOP_LENGTH
 FULL_CLIP_SLACK = 3              # window-trim deficit tolerated for "use whole clip"
 
 
@@ -244,29 +245,20 @@ def target_frames(length_s: float) -> int:
 
 
 def crop_frames(
-    features: np.ndarray,
-    length_s: float,
-    mode: str = "random",
-    rng: np.random.Generator | None = None,
+    features: np.ndarray, length_s: float, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Crop a (T, F) feature array to ~length_s seconds worth of frames.
 
-    Target n = round(length_s * 100). A clip with T >= n is cropped to
-    exactly n frames (random or center start); a clip within FULL_CLIP_SLACK
-    frames below n is used whole (the analysis window trims up to 2 frames
-    off a sample-aligned clip); anything shorter raises.
+    Target n = target_frames(length_s). A clip with T >= n is cropped to
+    exactly n frames, from a start drawn from rng or, without one, centred;
+    a clip within FULL_CLIP_SLACK frames below n is used whole (the analysis
+    window trims 2-3 frames off a sample-aligned clip); anything shorter
+    raises.
     """
     t = features.shape[0]
     n = target_frames(length_s)
     if t >= n:
-        if mode == "random":
-            if rng is None:
-                raise ValueError("random crop needs an rng")
-            start = int(rng.integers(0, t - n + 1))
-        elif mode == "center":
-            start = (t - n) // 2
-        else:
-            raise ValueError(f"unknown crop mode {mode!r}")
+        start = (t - n) // 2 if rng is None else int(rng.integers(0, t - n + 1))
         return features[start : start + n]
     if t >= n - FULL_CLIP_SLACK:
         return features

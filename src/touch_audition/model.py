@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import count_params, min_input_frames
 from .autograd import Tensor, concat, no_grad, softmax
-from .data import TASK_CLASSES
+from .data import FRAMES_PER_SECOND, TASK_CLASSES
 from .dsp import N_MELS
 from .errors import AudioFormatError, CheckpointFormatError, InputTooShortError
 from .layers import BatchNorm2d, Conv2d, Dense, Layer, named_state
@@ -30,7 +30,6 @@ CHECKPOINT_VERSION = 1
 class ModelConfig:
     task: str = "gesture"
     n_classes: int = 6
-    n_mels: int = N_MELS
     kernel_sizes: tuple[int, ...] = (3, 5, 7)
     filters: tuple[int, ...] = (16, 32, 64)
     dilations: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (3, 1))
@@ -41,7 +40,7 @@ class ModelConfig:
         lines = [
             f"task={self.task}",
             f"n_classes={self.n_classes}",
-            f"n_mels={self.n_mels}",
+            f"n_mels={N_MELS}",  # the front end's bins, checked on load
             "kernel_sizes=" + ",".join(str(k) for k in self.kernel_sizes),
             "filters=" + ",".join(str(f) for f in self.filters),
             "dilations=" + ";".join(f"{a},{b}" for a, b in self.dilations),
@@ -57,10 +56,10 @@ class ModelConfig:
             for line in blob.decode("utf-8").splitlines():
                 key, _, value = line.partition("=")
                 kv[key] = value
+            n_mels = int(kv["n_mels"])
             config = ModelConfig(
                 task=kv["task"],
                 n_classes=int(kv["n_classes"]),
-                n_mels=int(kv["n_mels"]),
                 kernel_sizes=tuple(int(s) for s in kv["kernel_sizes"].split(",")),
                 filters=tuple(int(s) for s in kv["filters"].split(",")),
                 dilations=tuple(
@@ -72,13 +71,14 @@ class ModelConfig:
             )
         except (KeyError, ValueError) as e:
             raise CheckpointFormatError(f"bad config blob: {e}") from e
-        sizes = (config.n_classes, config.n_mels, config.embed_dim,
+        if n_mels != N_MELS:
+            raise CheckpointFormatError(f"bad config blob: n_mels={n_mels}, the front end makes {N_MELS}")
+        sizes = (config.n_classes, config.embed_dim,
                  *config.kernel_sizes, *config.filters, *sum(config.dilations, ()))
         if (
             min(sizes) < 1
             or config.task not in TASK_CLASSES
             or config.n_classes > len(TASK_CLASSES[config.task])  # a class index names a class
-            or config.n_mels != N_MELS  # the bins the log-mel front end makes
             or len(set(config.kernel_sizes)) != len(config.kernel_sizes)  # one branch{k} each
             or len(config.dilations) != len(config.filters)
             or any(len(pair) != 2 for pair in config.dilations)
@@ -112,7 +112,7 @@ class Branch(Layer):
 
 
 class Mtrcnn(Layer):
-    """The full multi-branch model. Input: (n, 1, T, n_mels) float32."""
+    """The full multi-branch model. Input: (n, 1, T, N_MELS) float32."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         if rng is None:
@@ -127,8 +127,8 @@ class Mtrcnn(Layer):
         self.min_frames = min_input_frames(config)
         # Per-bin standardization of the log-mel input, fit on the training
         # split and shipped inside the checkpoint.
-        self.feature_mean = np.zeros(config.n_mels, dtype=np.float32)
-        self.feature_std = np.ones(config.n_mels, dtype=np.float32)
+        self.feature_mean = np.zeros(N_MELS, dtype=np.float32)
+        self.feature_std = np.ones(N_MELS, dtype=np.float32)
 
     def forward(
         self,
@@ -142,10 +142,10 @@ class Mtrcnn(Layer):
         if t < self.min_frames:
             raise InputTooShortError(
                 f"input has {t} frames but this architecture needs at least "
-                f"{self.min_frames} ({self.min_frames / 100:.2f} s at 10 ms hop)"
+                f"{self.min_frames} ({self.min_frames / FRAMES_PER_SECOND:.2f} s at 10 ms hop)"
             )
-        if f != self.config.n_mels:
-            raise AudioFormatError(f"expected {self.config.n_mels} mel bins, got {f}")
+        if f != N_MELS:
+            raise AudioFormatError(f"expected {N_MELS} mel bins, got {f}")
         if training and self.config.dropout > 0.0 and dropout_rng is None:
             raise ValueError("training forward pass needs an explicit dropout_rng")
         embs = [branch(x, training) for branch in self.branches]
@@ -251,7 +251,7 @@ def load_checkpoint(path: str) -> Mtrcnn:
     # The parameters and the two feature-statistics vectors are all stored
     # as float32, so a config asking for more than the file holds is
     # corrupt; checking first keeps it from allocating a model of any size.
-    if 4 * (count_params(config)["total"] + 2 * config.n_mels) > len(data):
+    if 4 * (count_params(config)["total"] + 2 * N_MELS) > len(data):
         raise CheckpointFormatError(f"{path}: config describes more parameters than the file holds")
 
     model = Mtrcnn(config, rng=np.random.default_rng(0))

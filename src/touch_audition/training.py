@@ -116,16 +116,13 @@ def featurize_rows(manifest_path: str, rows: list[ManifestRow]) -> list[np.ndarr
 
 
 def _stack_crops(
-    features: list[np.ndarray],
-    idx: np.ndarray,
-    length_s: float,
-    mode: str,
-    rng: np.random.Generator | None,
+    features: list[np.ndarray], idx: np.ndarray, length_s: float, rng: np.random.Generator
 ) -> np.ndarray:
-    crops = [crop_frames(features[i], length_s, mode, rng) for i in idx]
+    """A training batch of random crops, trimmed to the shortest so batch
+    norm sees one batch (slack clips may run a hair shorter)."""
+    crops = [crop_frames(features[i], length_s, rng) for i in idx]
     t_min = min(c.shape[0] for c in crops)
-    crops = [c[:t_min] for c in crops]  # slack clips may run a hair shorter
-    return np.stack(crops)[:, None, :, :]
+    return np.stack([c[:t_min] for c in crops])[:, None, :, :]
 
 
 def evaluate(
@@ -136,28 +133,23 @@ def evaluate(
     length_s: float | None = None,
     batch_size: int = 32,
 ) -> EvalResult:
-    """Accuracy and confusion at a fixed length (center crop) or full clips."""
+    """Accuracy and confusion at a fixed length (center crop) or full clips.
+
+    Each batch's clips are grouped by frame count and each group gets one
+    forward, so no clip is trimmed to fit the others in its batch.
+    """
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    order = np.arange(len(features))
     with no_grad():
-        for i in range(0, len(order), batch_size):
-            idx = order[i : i + batch_size]
-            if length_s is None:
-                # Full clips: group by frame count so each batch stacks.
-                by_t: dict[int, list[int]] = {}
-                for j in idx:
-                    by_t.setdefault(features[j].shape[0], []).append(j)
-                groups = [np.array(g) for g in by_t.values()]
-            else:
-                groups = [idx]
-            for g in groups:
-                if length_s is None:
-                    x = np.stack([features[j] for j in g])[:, None]
-                else:
-                    x = _stack_crops(features, g, length_s, "center", None)
+        for i in range(0, len(features), batch_size):
+            groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+            for j in range(i, min(i + batch_size, len(features))):
+                clip = features[j] if length_s is None else crop_frames(features[j], length_s)
+                groups.setdefault(clip.shape[0], []).append((j, clip))
+            for group in groups.values():
+                x = np.stack([clip for _, clip in group])[:, None]
                 x = model.normalize(x)  # rebinding frees the raw stack before forward
                 pred = model.forward(x).data.argmax(axis=1)
-                for j, p in zip(g, pred):
+                for (j, _), p in zip(group, pred):
                     confusion[labels[j], p] += 1
     n = int(confusion.sum())
     acc = float(np.trace(confusion)) / n if n else float("nan")
@@ -198,7 +190,7 @@ def train_run(
         t0 = time.perf_counter()
         total_loss, total_n = 0.0, 0
         for idx in batch_iter(len(train_std), settings.batch_size, shuffle_rng):
-            x = _stack_crops(train_std, idx, crop_s, "random", crop_rng)
+            x = _stack_crops(train_std, idx, crop_s, crop_rng)
             y = train_labels[idx]
             logits = model.forward(x, training=True, dropout_rng=dropout_rng)
             loss = cross_entropy(logits, y)

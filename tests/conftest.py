@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from touch_audition.autograd import Tensor, no_grad
+from touch_audition.dsp import N_MELS
 from touch_audition.model import ModelConfig, Mtrcnn
 
 
@@ -136,7 +137,7 @@ def live_mac_count(cfg: ModelConfig, t: int) -> int:
     """Brute-force cost oracle: run the real layers and count one MAC per
     output element per kernel tap, straight from the produced array shapes."""
     model = Mtrcnn(cfg, np.random.default_rng(0))
-    x = np.zeros((1, 1, t, cfg.n_mels), dtype=np.float32)
+    x = np.zeros((1, 1, t, N_MELS), dtype=np.float32)
     macs = 0
     with no_grad():
         for branch in model.branches:

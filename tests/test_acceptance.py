@@ -39,6 +39,7 @@ from touch_audition.analysis import (
 )
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad
 from touch_audition.cli import main
+from touch_audition.dsp import N_MELS
 from touch_audition.errors import InputTooShortError
 from touch_audition.model import ModelConfig, Mtrcnn
 from touch_audition.stats import paired_t_test, shapiro_wilk
@@ -67,12 +68,12 @@ def test_criterion_02_minimum_input_length():
     model = Mtrcnn(cfg, np.random.default_rng(0))
 
     with no_grad():
-        out = model.forward(np.zeros((1, 1, mf, cfg.n_mels), dtype=np.float32))
+        out = model.forward(np.zeros((1, 1, mf, N_MELS), dtype=np.float32))
     ok_fwd = out.data.shape == (1, cfg.n_classes)
 
     try:
         with no_grad():
-            model.forward(np.zeros((1, 1, mf - 1, cfg.n_mels), dtype=np.float32))
+            model.forward(np.zeros((1, 1, mf - 1, N_MELS), dtype=np.float32))
         ok_short = False
     except InputTooShortError:
         ok_short = True
@@ -84,7 +85,7 @@ def test_criterion_02_minimum_input_length():
     chain = []
     for rt, _ in cfg.dilations:
         chain += [("conv", widest, rt), ("pool",)]
-    footprint = dependency_footprint(chain, t_in=mf, f_in=cfg.n_mels)
+    footprint = dependency_footprint(chain, t_in=mf, f_in=N_MELS)
 
     ok = mf == 110 and ok_fwd and ok_short and footprint == mf
     _verdict(
@@ -355,7 +356,7 @@ def test_criterion_10_full_clip_inference_latency():
     cfg = ModelConfig()
     model = Mtrcnn(cfg, np.random.default_rng(0))
     t = frames_for_seconds(10.0)
-    x = np.random.default_rng(1).standard_normal((1, 1, t, cfg.n_mels)).astype(np.float32)
+    x = np.random.default_rng(1).standard_normal((1, 1, t, N_MELS)).astype(np.float32)
 
     for _ in range(2):  # warm-up
         model.predict(x)

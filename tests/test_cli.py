@@ -179,7 +179,11 @@ def test_infer_rejects_checkpoint_with_wrong_mel_bins(trained, tmp_path, capsys)
     # A model built for 32 bins cannot take the front end's 64: refused on
     # load, not by a numpy broadcast error in normalize.
     ckpt = str(tmp_path / "narrow.ckpt")
-    save_checkpoint(ckpt, Mtrcnn(ModelConfig(n_mels=32)))
+    save_checkpoint(ckpt, Mtrcnn(ModelConfig()))
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(data.replace(b"n_mels=64", b"n_mels=32", 1))
     row = read_manifest(trained["manifest"])[0]
     wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
     assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1

@@ -259,12 +259,12 @@ def test_crop_exact_and_identity():
     feats = RNG.standard_normal((997, 64)).astype(np.float32)
     # A 10 s request on a 10 s clip returns the whole thing (slack covers
     # the 3-frame window trim).
-    out = crop_frames(feats, 10.0, "center")
+    out = crop_frames(feats, 10.0)
     assert out.shape == (997, 64)
     assert out is feats or np.array_equal(out, feats)
     # 2 s crops are exactly 200 frames.
     assert target_frames(2.0) == 200
-    out = crop_frames(feats, 2.0, "center")
+    out = crop_frames(feats, 2.0)
     assert out.shape == (200, 64)
     start = (997 - 200) // 2
     assert np.array_equal(out, feats[start : start + 200])
@@ -275,7 +275,7 @@ def test_crop_random_bounds_property():
     rng = np.random.default_rng(8)
     starts = set()
     for _ in range(300):
-        out = crop_frames(feats, 2.0, "random", rng)
+        out = crop_frames(feats, 2.0, rng)
         assert out.shape[0] == 200
         start = int(out[0, 0])
         assert 0 <= start <= 300
@@ -298,11 +298,11 @@ def test_crop_random_start_range_is_inclusive():
 
     feats = np.arange(500, dtype=np.float32)[:, None] * np.ones((1, 4), np.float32)
     hi_rng = StubRng(300)
-    out = crop_frames(feats, 2.0, "random", hi_rng)
+    out = crop_frames(feats, 2.0, hi_rng)
     assert hi_rng.seen == (0, 301)
     assert out[0, 0] == 300 and out[-1, 0] == 499
     lo_rng = StubRng(0)
-    out = crop_frames(feats, 2.0, "random", lo_rng)
+    out = crop_frames(feats, 2.0, lo_rng)
     assert out[0, 0] == 0 and out[-1, 0] == 199
 
 
@@ -310,18 +310,20 @@ def test_crop_random_start_range_is_inclusive():
 @given(
     n_samples=st.integers(dsp.WIN_LENGTH, 20 * dsp.SAMPLE_RATE),
     length_s=st.floats(0.01, 20.0),
-    mode=st.sampled_from(["center", "random"]),
+    rng=st.none() | st.builds(np.random.default_rng, st.integers(0, 2**32 - 1)),
 )
-def test_crop_frame_accounting_property(n_samples, length_s, mode):
+def test_crop_frame_accounting_property(n_samples, length_s, rng):
     t = dsp.num_frames(n_samples)
     feats = np.arange(t, dtype=np.float32)[:, None]
     n = target_frames(length_s)
     if t < n - FULL_CLIP_SLACK:
         with pytest.raises(InputTooShortError):
-            crop_frames(feats, length_s, mode, np.random.default_rng(0))
+            crop_frames(feats, length_s, rng)
         return
-    out = crop_frames(feats, length_s, mode, np.random.default_rng(0))
+    out = crop_frames(feats, length_s, rng)
     assert out.shape[0] == (n if t >= n else t)
+    if rng is None and t >= n:
+        assert out[0, 0] == (t - n) // 2  # centred
     assert np.array_equal(out[:, 0], np.arange(out[0, 0], out[0, 0] + out.shape[0]))
 
 
@@ -333,19 +335,15 @@ def test_clip_of_any_length_crops_to_itself(length_s):
     t = dsp.num_frames(round(length_s * dsp.SAMPLE_RATE))
     assert 0 < target_frames(length_s) - t <= FULL_CLIP_SLACK
     feats = np.zeros((t, 1), dtype=np.float32)
-    assert crop_frames(feats, length_s, "center").shape[0] == t
+    assert crop_frames(feats, length_s).shape[0] == t
 
 
 def test_crop_too_short_and_bad_modes():
     feats = RNG.standard_normal((196, 8)).astype(np.float32)
     with pytest.raises(InputTooShortError):
-        crop_frames(feats, 2.0, "center")  # 196 < 200 - 3
-    ok = crop_frames(RNG.standard_normal((197, 8)).astype(np.float32), 2.0, "center")
+        crop_frames(feats, 2.0)  # 196 < 200 - 3
+    ok = crop_frames(RNG.standard_normal((197, 8)).astype(np.float32), 2.0)
     assert ok.shape[0] == 197  # within slack: whole clip
-    with pytest.raises(ValueError):
-        crop_frames(feats, 1.0, "sideways")
-    with pytest.raises(ValueError):
-        crop_frames(RNG.standard_normal((400, 8)), 2.0, "random", rng=None)
 
 
 def test_batch_iter_covers_everything():

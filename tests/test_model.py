@@ -231,7 +231,7 @@ def test_config_blob_round_trip():
         ModelConfig(kernel_sizes=(3, 3)).to_blob(),
         ModelConfig(dilations=((1, 1), (2, 1))).to_blob(),
         ModelConfig(dropout=1.0).to_blob(),
-        ModelConfig(n_mels=32).to_blob(),  # the front end makes 64 bins
+        ModelConfig().to_blob().replace(b"n_mels=64", b"n_mels=32"),  # the front end makes 64
         b"\xff",
     ]:
         with pytest.raises(CheckpointFormatError):

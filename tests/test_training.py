@@ -65,10 +65,12 @@ def test_featurize_caches_repeated_paths(tiny_corpus):
 
 def test_stack_crops_trims_slack_clips():
     rng = np.random.default_rng(0)
-    long = rng.standard_normal((997, 64)).astype(np.float32)
+    long = np.repeat(np.arange(997, dtype=np.float32)[:, None], 64, axis=1)
     short = rng.standard_normal((197, 64)).astype(np.float32)  # 200 - slack
-    x = _stack_crops([long, short], np.array([0, 1]), 2.0, "center", None)
+    x = _stack_crops([long, short], np.array([0, 1]), 2.0, rng)
     assert x.shape == (2, 1, 197, 64)
+    start = int(x[0, 0, 0, 0])  # a random 200-frame crop, trimmed to the batch's 197
+    assert np.array_equal(x[0, 0], long[start : start + 197])
     assert np.array_equal(x[1, 0], short)
 
 
@@ -235,6 +237,28 @@ def test_evaluate_groups_full_clips_by_length():
     for label, pred in zip(labels, preds):
         expected[label, pred] += 1
     assert np.array_equal(res.confusion, expected)
+
+
+def test_evaluate_crop_does_not_depend_on_batch_companions(monkeypatch):
+    # At 10 s a 1000-frame clip is cropped to all 1000 frames and a 998-frame
+    # clip is used whole (slack). Batched together, neither may be trimmed
+    # to fit the other: each frame count gets its own forward.
+    rng = np.random.default_rng(11)
+    model = Mtrcnn(ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4), rng)
+    feats = [rng.standard_normal((t, 64)).astype(np.float32) for t in (1000, 998)]
+    seen = []
+    forward = Mtrcnn.forward
+
+    def spy(self, x, *args, **kwargs):
+        seen.append(np.array(x))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Mtrcnn, "forward", spy)
+    res = evaluate(model, feats, np.array([0, 1]), 2, length_s=10.0, batch_size=2)
+    assert res.n == 2
+    assert sorted(x.shape for x in seen) == [(1, 1, 998, 64), (1, 1, 1000, 64)]
+    full = next(x for x in seen if x.shape[2] == 1000)
+    assert np.array_equal(full[0, 0], model.normalize(feats[0]))
 
 
 def test_evaluate_center_crop_is_deterministic():
