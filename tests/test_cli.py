@@ -176,8 +176,8 @@ def test_infer_rejects_checkpoint_config_its_task_cannot_label(trained, tmp_path
 
 
 def test_infer_rejects_checkpoint_with_wrong_mel_bins(trained, tmp_path, capsys):
-    # A model built for 32 bins cannot take the front end's 64: refused on
-    # load, not by a numpy broadcast error in normalize.
+    # A checkpoint declaring 32 bins cannot take the front end's 64: refused
+    # on load, not by a numpy broadcast error in normalize.
     ckpt = str(tmp_path / "narrow.ckpt")
     save_checkpoint(ckpt, Mtrcnn(ModelConfig()))
     with open(ckpt, "rb") as fh:
