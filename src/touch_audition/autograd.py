@@ -274,16 +274,19 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # The graph is consumed as it runs. Every node that reads a node's
+        # output runs before it and then drops its parent links, and popping
+        # the node drops the engine's own reference. So a node's output array
+        # and grad are freed once its own closure has run, unless the caller
+        # still holds the tensor; no activation waits for backward to return.
+        # Clearing the closure matters too: each captures its output tensor,
+        # a reference cycle that would otherwise park the activation until
+        # the cycle collector got around to it. Leaf tensors (parameters,
+        # inputs) have no closure and keep their grads.
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
-                # The graph is consumed as it runs. An interior node's grad is
-                # fully used by its own closure, and dropping the closure and
-                # parent links matters beyond the grads themselves: each
-                # closure captures its output tensor, a reference cycle that
-                # would otherwise park every step's activations until the
-                # cycle collector got around to them. Leaf tensors (parameters,
-                # inputs) have no closure and keep their grads.
                 node._backward = None
                 node.grad = None
                 node._parents = ()

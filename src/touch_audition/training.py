@@ -34,7 +34,7 @@ from .data import (
     target_frames,
     write_manifest,
 )
-from .errors import AudioFormatError, ManifestError, TrainingDivergedError
+from .errors import AudioFormatError, InputTooShortError, ManifestError, TrainingDivergedError
 from .layers import named_state
 from .model import ModelConfig, Mtrcnn, save_checkpoint
 from .optim import Adam
@@ -125,6 +125,20 @@ def _stack_crops(
     return np.stack([c[:t_min] for c in crops])[:, None, :, :]
 
 
+def _model_inputs(
+    model: Mtrcnn, features: list[np.ndarray], length_s: float | None
+) -> list[np.ndarray] | None:
+    """The frames each clip gives the model: the whole clip (`length_s` is
+    None) or its centre crop, which may be a clip used whole within
+    FULL_CLIP_SLACK frames of the length. None when any of them is shorter
+    than the model's minimum; a length below it is that without cropping.
+    A clip too short for the length raises (`crop_frames`)."""
+    if length_s is not None and target_frames(length_s) < model.min_frames:
+        return None
+    clips = [f if length_s is None else crop_frames(f, length_s) for f in features]
+    return clips if all(c.shape[0] >= model.min_frames for c in clips) else None
+
+
 def evaluate(
     model: Mtrcnn,
     features: list[np.ndarray],
@@ -135,21 +149,27 @@ def evaluate(
 ) -> EvalResult:
     """Accuracy and confusion at a fixed length (center crop) or full clips.
 
-    Each batch's clips are grouped by frame count and each group gets one
-    forward, so no clip is trimmed to fit the others in its batch.
+    Raises InputTooShortError when a clip is too short for the length or
+    gives the model fewer frames than it needs. Each batch's clips are
+    grouped by frame count and each group gets one forward, so no clip is
+    trimmed to fit the others in its batch.
     """
+    clips = _model_inputs(model, features, length_s)
+    if clips is None:
+        shown = "full clips" if length_s is None else f"{length_s:g} s crops"
+        raise InputTooShortError(
+            f"{shown} give the model fewer than the {model.min_frames} frames it needs")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     with no_grad():
-        for i in range(0, len(features), batch_size):
-            groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-            for j in range(i, min(i + batch_size, len(features))):
-                clip = features[j] if length_s is None else crop_frames(features[j], length_s)
-                groups.setdefault(clip.shape[0], []).append((j, clip))
+        for i in range(0, len(clips), batch_size):
+            groups: dict[int, list[int]] = {}
+            for j in range(i, min(i + batch_size, len(clips))):
+                groups.setdefault(clips[j].shape[0], []).append(j)
             for group in groups.values():
-                x = np.stack([clip for _, clip in group])[:, None]
+                x = np.stack([clips[j] for j in group])[:, None]
                 x = model.normalize(x)  # rebinding frees the raw stack before forward
                 pred = model.forward(x).data.argmax(axis=1)
-                for (j, _), p in zip(group, pred):
+                for j, p in zip(group, pred):
                     confusion[labels[j], p] += 1
     n = int(confusion.sum())
     acc = float(np.trace(confusion)) / n if n else float("nan")
@@ -167,7 +187,13 @@ def train_run(
     log=None,
 ) -> tuple[Mtrcnn, list[dict]]:
     """One training run; returns the model, with the weights of its best
-    validation epoch (the first one, on ties), and the per-epoch history."""
+    validation epoch (the first one, on ties), and the per-epoch history.
+
+    The feature statistics are fit on the whole training split, but each
+    batch is normalized only once its crops are stacked, so no normalized
+    copy of the training set is ever held. Normalization is per element and
+    per mel bin, so this gives the same bits as cropping normalized clips.
+    """
     init_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_INIT]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_SHUFFLE]))
     crop_rng = np.random.default_rng(np.random.SeedSequence([run_seed, _SEED_CROP]))
@@ -177,7 +203,6 @@ def train_run(
     mean, std = dsp.feature_stats(train_features)
     model.feature_mean[...] = mean
     model.feature_std[...] = std
-    train_std = [model.normalize(f) for f in train_features]
 
     opt = Adam(list(model.parameters().values()), lr=settings.lr)
     # Every parameter and buffer array; Adam and batch norm update them in place.
@@ -189,8 +214,8 @@ def train_run(
     for epoch in range(1, settings.epochs + 1):
         t0 = time.perf_counter()
         total_loss, total_n = 0.0, 0
-        for idx in batch_iter(len(train_std), settings.batch_size, shuffle_rng):
-            x = _stack_crops(train_std, idx, crop_s, crop_rng)
+        for idx in batch_iter(len(train_features), settings.batch_size, shuffle_rng):
+            x = model.normalize(_stack_crops(train_features, idx, crop_s, crop_rng))
             y = train_labels[idx]
             logits = model.forward(x, training=True, dropout_rng=dropout_rng)
             loss = cross_entropy(logits, y)
@@ -361,11 +386,12 @@ def length_sweep(
     lengths_s: tuple[float, ...] = tuple(float(s) for s in range(1, 11)),
     batch_size: int = 32,
 ) -> list[tuple[float, float | None]]:
-    """Accuracy per evaluation length; None where below the minimum length."""
+    """Accuracy per evaluation length; None where a clip's crop gives the
+    model fewer frames than it needs."""
     def accuracy(length: float) -> float | None:
-        if target_frames(length) < model.min_frames:
+        clips = _model_inputs(model, features, length)
+        if clips is None:
             return None
-        return evaluate(model, features, labels, n_classes,
-                        length_s=length, batch_size=batch_size).accuracy
+        return evaluate(model, clips, labels, n_classes, batch_size=batch_size).accuracy
 
     return [(length, accuracy(length)) for length in lengths_s]

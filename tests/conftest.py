@@ -1,8 +1,11 @@
 """Shared test oracles: finite-difference gradient checks, a naive
 convolution reference, a corrupt-file generator for parser fuzzing, an
-impulse-dependency footprint probe, and a live MAC count."""
+impulse-dependency footprint probe, a live MAC count, and a traced-memory
+probe."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +155,30 @@ def live_mac_count(cfg: ModelConfig, t: int) -> int:
         macs += model.fusion.weight.data.size
         macs += model.head.weight.data.size
     return macs
+
+
+class traced_memory:
+    """Bytes allocated inside a with-block, above what was held at its start.
+
+    `peak` and `held` are read when the block ends: the most held at once,
+    and what is still held. Inside the block, `held_now()` reads the bytes
+    held so far, and `tracemalloc.reset_peak()` restarts the peak from there.
+    """
+
+    def __enter__(self) -> "traced_memory":
+        tracemalloc.start()
+        self.base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def held_now(self) -> int:
+        return tracemalloc.get_traced_memory()[0] - self.base
+
+    def __exit__(self, *exc) -> None:
+        try:
+            held, peak = tracemalloc.get_traced_memory()
+            self.held, self.peak = held - self.base, peak - self.base
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

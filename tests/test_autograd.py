@@ -2,11 +2,11 @@
 convolution oracle, and optimizer arithmetic."""
 
 import threading
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err
+from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err, traced_memory
 
 from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
@@ -220,15 +220,9 @@ def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     w = Tensor(RNG.standard_normal((o, c, kt, kf)))
     b = Tensor(RNG.standard_normal(o))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        with no_grad():
-            out = x.conv2d(w, b, dilation)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - out.data.nbytes < 0.25 * lowering
+    with traced_memory() as mem, no_grad():
+        out = x.conv2d(w, b, dilation)
+    assert mem.peak - out.data.nbytes < 0.25 * lowering
 
 
 def test_conv2d_scratch_is_one_sample_lowering():
@@ -245,16 +239,11 @@ def test_conv2d_scratch_is_one_sample_lowering():
     x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
     w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
     b = Tensor(RNG.standard_normal(o), requires_grad=True)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         out = x.conv2d(w, b, dilation)
         out.sum().backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
     grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert peak < out.data.nbytes + grads + 3.6 * lowering
+    assert mem.peak < out.data.nbytes + grads + 3.6 * lowering
 
 
 def test_conv2d_backward_holds_one_input_gradient():
@@ -264,14 +253,9 @@ def test_conv2d_backward_holds_one_input_gradient():
     w = Tensor(RNG.standard_normal((2, 4, 3, 3)))
     loss = x.conv2d(w, Tensor(np.zeros(2))).sum()
     out_bytes = 32 * 2 * 38 * 38 * 8  # out.grad
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < out_bytes + 1.5 * x.data.nbytes
+    assert mem.peak < out_bytes + 1.5 * x.data.nbytes
 
 
 def test_conv2d_shape_errors():
@@ -392,15 +376,9 @@ def test_bn_relu_pool_forward_never_builds_a_full_size_array():
     c, t, f = 4, 400, 40
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     gamma, beta = (Tensor(v) for v in _gamma_beta(c))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        with no_grad():
-            out = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=False)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - out.data.nbytes < 0.5 * x.data.nbytes
+    with traced_memory() as mem, no_grad():
+        out = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=False)
+    assert mem.peak - out.data.nbytes < 0.5 * x.data.nbytes
 
 
 def _uneven_groups(monkeypatch, x: np.ndarray) -> None:
@@ -453,14 +431,9 @@ def test_bn_relu_pool_backward_scratch_is_one_tile():
     gamma, beta = (Tensor(v, requires_grad=True) for v in _gamma_beta(c))
     loss = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=True).sum()
     incoming = n * c * (t // 2) * (f // 2) * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - incoming - x.grad.nbytes < 0.5 * x.data.nbytes
+    assert mem.peak - incoming - x.grad.nbytes < 0.5 * x.data.nbytes
 
 
 def test_bn_relu_pool_training_grads():
@@ -504,15 +477,10 @@ def _graph_bytes(block) -> tuple[int, int]:
     gamma = Tensor(np.ones(16, dtype=np.float32), requires_grad=True)
     beta = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
     bufs = (np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         out = block(x.conv2d(w, b), gamma, beta, *bufs)
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
     assert out.requires_grad
-    return kept, 8 * 16 * 58 * 62 * 4
+    return mem.held, 8 * 16 * 58 * 62 * 4
 
 
 def test_bn_relu_pool_graph_keeps_one_full_size_array():
@@ -577,6 +545,32 @@ def test_backward_requires_scalar():
     t = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         t.backward()
+
+
+def test_backward_frees_each_activation_once_it_has_run():
+    # `mid` is held by nothing but the graph. Its closure runs before
+    # `first`'s, so by the time `first`'s closure runs, backward must have
+    # let go of `mid`'s output array.
+    x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+
+    def build():
+        first = x * Tensor(RNG.standard_normal((3, 4)))
+        mid = first.relu()
+        loss = (mid * Tensor(RNG.standard_normal((3, 4)))).sum()
+        return first, weakref.ref(mid.data), loss
+
+    first, mid_data, loss = build()
+    freed = []
+    inner = first._backward
+
+    def spy():
+        freed.append(mid_data() is None)
+        inner()
+
+    first._backward = spy
+    loss.backward()
+    assert freed == [True]
+    assert x.grad is not None
 
 
 def test_no_grad_blocks_graph():

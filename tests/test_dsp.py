@@ -1,10 +1,8 @@
 """DSP front-end tests: WAV I/O, framing, mel filterbank, MELF container."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import corrupted
+from conftest import corrupted, traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,14 +177,9 @@ def test_log_mel_scratch_is_a_fraction_of_the_spectrum():
     # (about 0.25 of it here; the whole-clip composition takes about 2).
     sig = np.random.default_rng(5).uniform(-1, 1, 10 * dsp.SAMPLE_RATE).astype(np.float32)
     spectrum = dsp.num_frames(sig.shape[0]) * (dsp.N_FFT // 2 + 1) * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         feats = dsp.log_mel_spectrogram(sig)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - feats.nbytes < 0.5 * spectrum
+    assert mem.peak - feats.nbytes < 0.5 * spectrum
 
 
 def test_mel_scale_inverse():

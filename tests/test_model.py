@@ -3,14 +3,16 @@ footprints, checkpoint round-trips, and mode behavior."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import corrupted, dependency_footprint
+from conftest import corrupted, dependency_footprint, traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from touch_audition.analysis import count_params, min_input_frames
+from touch_audition.autograd import cross_entropy
 from touch_audition.errors import (
     AudioFormatError,
     CheckpointFormatError,
@@ -121,6 +123,29 @@ def test_training_mode_uses_dropout_and_updates_bn():
     e1 = model.forward(x).data
     e2 = model.forward(x).data
     assert np.array_equal(e1, e2)
+
+
+def test_training_backward_peak_stays_near_the_forward_graph():
+    # Backward frees each activation once its own closure has run, so its
+    # peak rises above the forward graph by less than one block-1 conv
+    # output plus that block's input gradient (0.96 block-1 outputs here),
+    # not by everything it computes while every activation waits for it
+    # to return (1.55).
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+    x = RNG.standard_normal((4, 1, 200, 64)).astype(np.float32)
+    labels = np.arange(4)
+    unit = 4 * 16 * 198 * 62 * 4  # one block-1 conv output, float32
+
+    def forward():
+        logits = model.forward(x, training=True, dropout_rng=np.random.default_rng(1))
+        return cross_entropy(logits, labels)
+
+    with traced_memory() as mem:
+        loss = forward()
+        graph = mem.held_now()
+        tracemalloc.reset_peak()
+        loss.backward()
+    assert (mem.peak - graph) / unit < 1.25
 
 
 def test_predict_probabilities():

@@ -8,10 +8,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touch_audition import dsp, training
-from touch_audition.data import read_manifest, assign_splits, write_manifest
-from touch_audition.errors import ManifestError
+from touch_audition.data import (
+    FRAMES_PER_SECOND,
+    FULL_CLIP_SLACK,
+    assign_splits,
+    read_manifest,
+    write_manifest,
+)
+from touch_audition.errors import InputTooShortError, ManifestError
 from touch_audition.model import Mtrcnn, ModelConfig, load_checkpoint
 from touch_audition.training import (
     TrainSettings,
@@ -20,6 +28,7 @@ from touch_audition.training import (
     featurize_rows,
     length_sweep,
     run_training,
+    train_run,
 )
 
 
@@ -72,6 +81,30 @@ def test_stack_crops_trims_slack_clips():
     start = int(x[0, 0, 0, 0])  # a random 200-frame crop, trimmed to the batch's 197
     assert np.array_equal(x[0, 0], long[start : start + 197])
     assert np.array_equal(x[1, 0], short)
+
+
+def test_train_run_normalizes_stacked_batches(monkeypatch):
+    # Normalization is per element and per mel bin in float32, so a stacked
+    # batch of crops normalizes to the same bits as the crops of normalized
+    # clips. train_run therefore normalizes each batch once it is stacked and
+    # never holds a normalized copy of the training set.
+    rng = np.random.default_rng(8)
+    model = Mtrcnn(ModelConfig(), rng)
+    model.feature_mean[...] = 5 * rng.standard_normal(64)
+    model.feature_std[...] = rng.uniform(0.1, 3.0, 64)
+    feats = [(4 * rng.standard_normal((t, 64)) - 20).astype(np.float32) for t in (997, 600, 197, 200)]
+    idx = np.array([2, 0, 3, 1])
+    batch = model.normalize(_stack_crops(feats, idx, 2.0, np.random.default_rng(1)))
+    clips = _stack_crops([model.normalize(f) for f in feats], idx, 2.0, np.random.default_rng(1))
+    assert batch.dtype == clips.dtype == np.float32
+    assert batch.shape == (4, 1, 197, 64) and batch.tobytes() == clips.tobytes()
+
+    shapes = []
+    normalize = Mtrcnn.normalize
+    monkeypatch.setattr(Mtrcnn, "normalize", lambda self, f: shapes.append(f.shape) or normalize(self, f))
+    settings_ = TrainSettings(epochs=1, batch_size=2, crop_s=1.2)
+    train_run(feats, np.array([0, 1, 2, 3]), feats[:1], np.array([0]), ModelConfig(), settings_, 5)
+    assert shapes == [(2, 1, 120, 64), (2, 1, 120, 64), (1, 1, 120, 64)]  # two batches, validation
 
 
 # -- smoke run and artifacts ------------------------------------------------
@@ -284,3 +317,38 @@ def test_length_sweep_marks_short_lengths():
     assert results[0] == (1.0, None)  # 100 frames < 110-frame minimum
     assert results[1][1] is not None
     assert results[2][1] is not None
+
+
+def test_length_sweep_marks_a_slack_clip_below_the_minimum():
+    # At 1.1 s (110 frames, the model's minimum) a 107-frame clip is used
+    # whole, so the crop gives the model 107 frames: that length reads n/a.
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(7))
+    clip, label = [np.zeros((107, 64), dtype=np.float32)], np.array([0])
+    assert length_sweep(model, clip, label, 6, lengths_s=(1.1,)) == [(1.1, None)]
+    with pytest.raises(InputTooShortError, match="fewer than the 110 frames"):
+        evaluate(model, clip, label, 6, length_s=1.1)
+    # A clip too short for the length still raises.
+    with pytest.raises(InputTooShortError, match="needs at least 107"):
+        length_sweep(model, [np.zeros((106, 64), dtype=np.float32)], label, 6, lengths_s=(1.1,))
+
+
+_SWEEP_MODEL = Mtrcnn(ModelConfig(), np.random.default_rng(9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(100, 130),
+    offsets=st.lists(st.integers(-FULL_CLIP_SLACK, 20), min_size=1, max_size=3),
+)
+def test_length_sweep_never_raises_where_the_crop_is_defined(n, offsets):
+    # Every clip is at most FULL_CLIP_SLACK frames short of the length, so
+    # each crop is defined: the sweep gives an accuracy, or None exactly when
+    # some crop gives the model fewer frames than it needs.
+    length = n / FRAMES_PER_SECOND
+    feats = [np.zeros((n + k, 64), dtype=np.float32) for k in offsets]
+    [(got, acc)] = length_sweep(_SWEEP_MODEL, feats, np.zeros(len(feats), dtype=np.int64), 6,
+                                lengths_s=(length,))
+    assert got == length
+    shortest = min(n, n + min(offsets))
+    assert (acc is None) == (shortest < _SWEEP_MODEL.min_frames)
+    assert acc is None or 0.0 <= acc <= 1.0
