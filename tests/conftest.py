@@ -157,7 +157,7 @@ def live_mac_count(cfg: ModelConfig, t: int) -> int:
     return macs
 
 
-class traced_memory:
+class TracedMemory:
     """Bytes allocated inside a with-block, above what was held at its start.
 
     `peak` and `held` are read when the block ends: the most held at once,
@@ -165,7 +165,7 @@ class traced_memory:
     held so far, and `tracemalloc.reset_peak()` restarts the peak from there.
     """
 
-    def __enter__(self) -> "traced_memory":
+    def __enter__(self) -> "TracedMemory":
         tracemalloc.start()
         self.base = tracemalloc.get_traced_memory()[0]
         return self

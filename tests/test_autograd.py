@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import check_grads, kink_free_bn_input, naive_conv2d, rel_err, traced_memory
+from conftest import TracedMemory, check_grads, kink_free_bn_input, naive_conv2d, rel_err
 
 from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
@@ -220,7 +220,7 @@ def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     w = Tensor(RNG.standard_normal((o, c, kt, kf)))
     b = Tensor(RNG.standard_normal(o))
-    with traced_memory() as mem, no_grad():
+    with TracedMemory() as mem, no_grad():
         out = x.conv2d(w, b, dilation)
     assert mem.peak - out.data.nbytes < 0.25 * lowering
 
@@ -239,7 +239,7 @@ def test_conv2d_scratch_is_one_sample_lowering():
     x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
     w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
     b = Tensor(RNG.standard_normal(o), requires_grad=True)
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         out = x.conv2d(w, b, dilation)
         out.sum().backward()
     grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
@@ -253,7 +253,7 @@ def test_conv2d_backward_holds_one_input_gradient():
     w = Tensor(RNG.standard_normal((2, 4, 3, 3)))
     loss = x.conv2d(w, Tensor(np.zeros(2))).sum()
     out_bytes = 32 * 2 * 38 * 38 * 8  # out.grad
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         loss.backward()
     assert mem.peak < out_bytes + 1.5 * x.data.nbytes
 
@@ -376,7 +376,7 @@ def test_bn_relu_pool_forward_never_builds_a_full_size_array():
     c, t, f = 4, 400, 40
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     gamma, beta = (Tensor(v) for v in _gamma_beta(c))
-    with traced_memory() as mem, no_grad():
+    with TracedMemory() as mem, no_grad():
         out = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=False)
     assert mem.peak - out.data.nbytes < 0.5 * x.data.nbytes
 
@@ -431,7 +431,7 @@ def test_bn_relu_pool_backward_scratch_is_one_tile():
     gamma, beta = (Tensor(v, requires_grad=True) for v in _gamma_beta(c))
     loss = x.bn_relu_pool(gamma, beta, np.zeros(c), np.ones(c), training=True).sum()
     incoming = n * c * (t // 2) * (f // 2) * 8
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         loss.backward()
     assert mem.peak - incoming - x.grad.nbytes < 0.5 * x.data.nbytes
 
@@ -477,7 +477,7 @@ def _graph_bytes(block) -> tuple[int, int]:
     gamma = Tensor(np.ones(16, dtype=np.float32), requires_grad=True)
     beta = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
     bufs = (np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32))
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         out = block(x.conv2d(w, b), gamma, beta, *bufs)
     assert out.requires_grad
     return mem.held, 8 * 16 * 58 * 62 * 4

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import corrupted, traced_memory
+from conftest import TracedMemory, corrupted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,7 +177,7 @@ def test_log_mel_scratch_is_a_fraction_of_the_spectrum():
     # (about 0.25 of it here; the whole-clip composition takes about 2).
     sig = np.random.default_rng(5).uniform(-1, 1, 10 * dsp.SAMPLE_RATE).astype(np.float32)
     spectrum = dsp.num_frames(sig.shape[0]) * (dsp.N_FFT // 2 + 1) * 16
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         feats = dsp.log_mel_spectrogram(sig)
     assert mem.peak - feats.nbytes < 0.5 * spectrum
 

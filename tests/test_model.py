@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import corrupted, dependency_footprint, traced_memory
+from conftest import TracedMemory, corrupted, dependency_footprint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +140,7 @@ def test_training_backward_peak_stays_near_the_forward_graph():
         logits = model.forward(x, training=True, dropout_rng=np.random.default_rng(1))
         return cross_entropy(logits, labels)
 
-    with traced_memory() as mem:
+    with TracedMemory() as mem:
         loss = forward()
         graph = mem.held_now()
         tracemalloc.reset_peak()

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from touch_audition import dsp, training
@@ -336,6 +336,8 @@ _SWEEP_MODEL = Mtrcnn(ModelConfig(), np.random.default_rng(9))
 
 
 @settings(max_examples=30, deadline=None)
+@example(n=110, offsets=[-3])
+@example(n=112, offsets=[5, -3])
 @given(
     n=st.integers(100, 130),
     offsets=st.lists(st.integers(-FULL_CLIP_SLACK, 20), min_size=1, max_size=3),
