@@ -7,11 +7,10 @@ results can be cross-checked against live forward passes in tests.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .data import FRAMES_PER_SECOND
+from .data import FRAMES_PER_SECOND, LENGTH_GRID_S, write_csv
 from .dsp import N_MELS, SAMPLE_RATE, num_frames
 from .errors import InputTooShortError
 
@@ -25,8 +24,6 @@ BUDGET_G = 11.46
 # grid flags any (convention, length) cell within 10% of it as a
 # reconciliation candidate rather than asserting it as our own count.
 REFERENCE_COST_G = 0.708
-# Clip lengths, in seconds, of the report's compute grid.
-REPORT_LENGTHS_S = tuple(range(1, 11))
 
 
 class LayerSpec(NamedTuple):
@@ -226,28 +223,23 @@ class ResourceReport:
         return "\n".join(lines)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["section", "key", "value"])
-            writer.writerow(["meta", "task", self.task])
-            writer.writerow(["meta", "n_classes", self.n_classes])
-            for key, val in self.params.items():
-                writer.writerow(["params", key, val])
-            writer.writerow(["meta", "model_bytes", self.model_bytes])
-            writer.writerow(["meta", "min_frames", self.min_frames])
-            writer.writerow(["meta", "min_seconds", f"{self.min_seconds:.2f}"])
-            for k in sorted(self.rf_reference):
-                writer.writerow(["rf_reference", f"k{k}", " ".join(map(str, self.rf_reference[k]))])
-                writer.writerow(["rf_exact", f"k{k}", " ".join(map(str, self.rf_exact[k]))])
-            for cell in self.flops_grid:
-                writer.writerow(
-                    ["flops", f"{cell.length_s:g}s",
-                     f"frames={cell.frames} mac={cell.mac} two_mac={cell.two_mac} "
-                     f"reconciles={cell.reconciles or '-'}"]
-                )
-            writer.writerow(["budget", "budget_g", self.budget_g])
-            writer.writerow(["budget", "cost_at_full_clip_g", f"{self.cost_at_full_clip_g:.4f}"])
-            writer.writerow(["budget", "within_budget", self.within_budget])
+        rf = (("rf_reference", self.rf_reference), ("rf_exact", self.rf_exact))
+        write_csv(path, ["section", "key", "value"], [
+            ["meta", "task", self.task],
+            ["meta", "n_classes", self.n_classes],
+            *(["params", key, val] for key, val in self.params.items()),
+            ["meta", "model_bytes", self.model_bytes],
+            ["meta", "min_frames", self.min_frames],
+            ["meta", "min_seconds", f"{self.min_seconds:.2f}"],
+            *([name, f"k{k}", " ".join(map(str, table[k]))]
+              for k in sorted(self.rf_reference) for name, table in rf),
+            *(["flops", f"{cell.length_s:g}s",
+               f"frames={cell.frames} mac={cell.mac} two_mac={cell.two_mac} "
+               f"reconciles={cell.reconciles or '-'}"] for cell in self.flops_grid),
+            ["budget", "budget_g", self.budget_g],
+            ["budget", "cost_at_full_clip_g", f"{self.cost_at_full_clip_g:.4f}"],
+            ["budget", "within_budget", self.within_budget],
+        ])
 
 
 def frames_for_seconds(seconds: float) -> int:
@@ -267,7 +259,7 @@ def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceRe
         for k in config.kernel_sizes
     }
     grid: list[FlopsCell] = []
-    for length in REPORT_LENGTHS_S:
+    for length in LENGTH_GRID_S:
         frames = frames_for_seconds(length)
         if frames < min_frames:
             continue

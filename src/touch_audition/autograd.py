@@ -252,9 +252,6 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Backpropagate from this (scalar) tensor through the graph."""
         if self.data.size != 1:

@@ -12,22 +12,23 @@ usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import dsp
 from .analysis import build_report
 from .data import (
+    LENGTH_GRID_S,
     TASK_CLASSES,
     class_index,
     read_manifest,
     resolve_path,
     rows_for_task,
+    write_csv,
     write_manifest,
 )
 from .errors import ManifestError, TouchAuditionError
@@ -87,19 +88,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = TrainSettings(
-        task=args.task,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        crop_s=args.crop_s,
-        seed=args.seed,
-        runs=args.runs,
-        splits=args.splits,
-        by_participant=args.by_participant,
-        out_dir=args.out,
-    )
-    run_training(args.manifest, settings)
+    # Only the options given are in args; TrainSettings holds the defaults.
+    given = {f.name: getattr(args, f.name) for f in fields(TrainSettings) if hasattr(args, f.name)}
+    run_training(args.manifest, TrainSettings(**given))
     return 0
 
 
@@ -140,11 +131,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shown = "n/a (below minimum length)" if acc is None else f"{acc * 100:6.2f} %"
         print(f"  {length:4.1f} s  {shown}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["length_s", "accuracy"])
-            for length, acc in results:
-                writer.writerow([length, "" if acc is None else f"{acc:.6f}"])
+        write_csv(args.out, ["length_s", "accuracy"],
+                  ([length, "" if acc is None else f"{acc:.6f}"] for length, acc in results))
         print(f"sweep table -> {args.out}")
     return 0
 
@@ -236,21 +224,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help=".melf path (--wav) or directory (--manifest)")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train one or more runs")
+    # Options left out are left out of the namespace, so the defaults come
+    # from TrainSettings; the help texts quote them.
+    p = sub.add_parser("train", help="train one or more runs", argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
-    _add_task(p)
-    p.add_argument("--out", default="runs", help="output directory (default runs)")
-    p.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
-    p.add_argument("--epochs", type=_count, default=100, help="training epochs (default 100)")
-    p.add_argument("--batch-size", type=_count, default=32, help="batch size (default 32)")
-    p.add_argument("--lr", type=_positive, default=1e-3, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--crop-s", type=_positive, default=None,
+    p.add_argument("--task", choices=TASKS, help="classification task")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory (default runs)")
+    p.add_argument("--seed", type=_seed, help="master seed (default 0)")
+    p.add_argument("--epochs", type=_count, help="training epochs (default 100)")
+    p.add_argument("--batch-size", type=_count, help="batch size (default 32)")
+    p.add_argument("--lr", type=_positive, help="Adam learning rate (default 1e-3)")
+    p.add_argument("--crop-s", type=_positive,
                    help="training crop seconds (default 6 for gesture, 7 otherwise)")
-    p.add_argument("--splits", type=_splits, default=None,
+    p.add_argument("--splits", type=_splits,
                    help="train,val,test totals (default 366,42,84 gesture / 660,80,100 emotion)")
     p.add_argument("--by-participant", action="store_true",
                    help="assign whole participants to a single split")
-    p.add_argument("--runs", type=_count, default=1, help="independent runs (default 1)")
+    p.add_argument("--runs", type=_count, help="independent runs (default 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest split")
@@ -266,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test", help="split to evaluate (default test)")
-    p.add_argument("--lengths", type=_length_list, default="1,2,3,4,5,6,7,8,9,10",
+    # A tuple default skips `type`, so it reaches cmd_sweep as floats.
+    p.add_argument("--lengths", type=_length_list, default=LENGTH_GRID_S,
                    help="comma-separated seconds (default 1..10)")
     p.add_argument("--out", default=None, help="write sweep CSV here")
     p.set_defaults(func=cmd_sweep)

@@ -1,4 +1,4 @@
-"""Label taxonomy, manifest CSV handling, split assignment, and cropping.
+"""Label taxonomy, CSV reading and writing, split assignment, and cropping.
 
 The manifest is a CSV with header `path,participant,round,task,label,split`.
 The label column stores the base annotation (a gesture name or an emotion
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,12 +132,17 @@ def read_manifest(path: str) -> list[ManifestRow]:
     return rows
 
 
-def write_manifest(path: str, rows: list[ManifestRow]) -> None:
+def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """Write a UTF-8 CSV file: the header, then one record per row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for r in rows:
-            writer.writerow([r.path, r.participant, r.round, r.task, r.label, r.split])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_manifest(path: str, rows: list[ManifestRow]) -> None:
+    write_csv(path, MANIFEST_HEADER,
+              ([r.path, r.participant, r.round, r.task, r.label, r.split] for r in rows))
 
 
 def resolve_path(manifest_path: str, row: ManifestRow) -> str:
@@ -238,6 +244,9 @@ def assign_splits(
 
 FRAMES_PER_SECOND = dsp.SAMPLE_RATE // dsp.HOP_LENGTH
 FULL_CLIP_SLACK = 3              # window-trim deficit tolerated for "use whole clip"
+# The input-length axis, in seconds: the sweep's default lengths and the
+# analyzer's compute grid.
+LENGTH_GRID_S = tuple(float(s) for s in range(1, 11))
 
 
 def target_frames(length_s: float) -> int:

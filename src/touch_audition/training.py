@@ -11,7 +11,6 @@ checkpoints and logs.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -23,6 +22,7 @@ from .autograd import Tensor, cross_entropy, no_grad
 from .data import (
     TASK_CLASSES,
     DEFAULT_SPLITS,
+    LENGTH_GRID_S,
     ManifestRow,
     assign_splits,
     batch_iter,
@@ -32,6 +32,7 @@ from .data import (
     resolve_path,
     rows_for_task,
     target_frames,
+    write_csv,
     write_manifest,
 )
 from .errors import AudioFormatError, InputTooShortError, ManifestError, TrainingDivergedError
@@ -42,10 +43,6 @@ from .stats import shapiro_wilk
 
 # Seed-stream tags so subsystems draw independent randomness.
 _SEED_INIT, _SEED_SHUFFLE, _SEED_CROP, _SEED_DROPOUT = 1, 2, 3, 4
-
-
-def default_crop_seconds(task: str) -> float:
-    return 6.0 if task == "gesture" else 7.0
 
 
 @dataclass
@@ -62,7 +59,10 @@ class TrainSettings:
     out_dir: str = "runs"
 
     def crop(self) -> float:
-        return self.crop_s if self.crop_s is not None else default_crop_seconds(self.task)
+        """The training crop: crop_s, or 6 s for gestures and 7 s otherwise."""
+        if self.crop_s is not None:
+            return self.crop_s
+        return 6.0 if self.task == "gesture" else 7.0
 
 
 @dataclass
@@ -187,7 +187,8 @@ def train_run(
     log=None,
 ) -> tuple[Mtrcnn, list[dict]]:
     """One training run; returns the model, with the weights of its best
-    validation epoch (the first one, on ties), and the per-epoch history.
+    validation epoch (the first one, on ties) and no gradients, and the
+    per-epoch history.
 
     The feature statistics are fit on the whole training split, but each
     batch is normalized only once its crops are stacked, so no normalized
@@ -255,23 +256,13 @@ def train_run(
                 f"val_acc {entry['val_acc']:.4f}  ({entry['seconds']:.1f}s)")
     for a, saved in zip(state, best_state):
         a[...] = saved
+    opt.zero_grad()  # the last step's gradients belong to weights no longer held
     return model, history
 
 
-def _write_loss_log(path: str, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_acc"])
-        for h in history:
-            writer.writerow([h["epoch"], f"{h['train_loss']:.9e}", f"{h['val_acc']:.9e}"])
-
-
 def save_confusion_csv(path: str, confusion: np.ndarray, classes: tuple[str, ...]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred"] + list(classes))
-        for name, row in zip(classes, confusion):
-            writer.writerow([name] + [int(v) for v in row])
+    write_csv(path, ["true\\pred", *classes],
+              ([name, *(int(v) for v in row)] for name, row in zip(classes, confusion)))
 
 
 def save_confusion_pgm(path: str, confusion: np.ndarray) -> None:
@@ -346,7 +337,8 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
         )
         ckpt = os.path.join(run_dir, "model.ckpt")
         save_checkpoint(ckpt, model)
-        _write_loss_log(os.path.join(run_dir, "loss_log.csv"), history)
+        write_csv(os.path.join(run_dir, "loss_log.csv"), ["epoch", "train_loss", "val_acc"],
+                  ([h["epoch"], f"{h['train_loss']:.9e}", f"{h['val_acc']:.9e}"] for h in history))
         test = None
         if subsets["test"]:
             test = evaluate(model, feats["test"], labels["test"], len(classes),
@@ -369,12 +361,10 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
             line += f"  (Shapiro-Wilk W={sw.w:.4f} p={sw.p:.3f})"
         if log:
             log(line)
-        with open(os.path.join(settings.out_dir, "summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "best_epoch", "best_val_acc", "test_acc"])
-            for r in summary.runs:
-                writer.writerow([r.run, r.best_epoch, f"{r.best_val_acc:.6f}",
-                                 f"{r.test.accuracy:.6f}" if r.test else ""])
+        write_csv(os.path.join(settings.out_dir, "summary.csv"),
+                  ["run", "best_epoch", "best_val_acc", "test_acc"],
+                  ([r.run, r.best_epoch, f"{r.best_val_acc:.6f}",
+                    f"{r.test.accuracy:.6f}" if r.test else ""] for r in summary.runs))
     return summary
 
 
@@ -383,8 +373,7 @@ def length_sweep(
     features: list[np.ndarray],
     labels: np.ndarray,
     n_classes: int,
-    lengths_s: tuple[float, ...] = tuple(float(s) for s in range(1, 11)),
-    batch_size: int = 32,
+    lengths_s: tuple[float, ...] = LENGTH_GRID_S,
 ) -> list[tuple[float, float | None]]:
     """Accuracy per evaluation length; None where a clip's crop gives the
     model fewer frames than it needs."""
@@ -392,6 +381,6 @@ def length_sweep(
         clips = _model_inputs(model, features, length)
         if clips is None:
             return None
-        return evaluate(model, clips, labels, n_classes, batch_size=batch_size).accuracy
+        return evaluate(model, clips, labels, n_classes).accuracy
 
     return [(length, accuracy(length)) for length in lengths_s]

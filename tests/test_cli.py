@@ -3,17 +3,19 @@ error-exit contract (usage errors 2, domain errors 1 with a one-line stderr)."""
 
 from __future__ import annotations
 
+import csv
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from touch_audition import dsp
+from touch_audition import cli, dsp
 from touch_audition.cli import main
 from touch_audition.data import GESTURES, read_manifest, write_manifest
 from touch_audition.model import ModelConfig, Mtrcnn, save_checkpoint
+from touch_audition.training import TrainSettings
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,24 @@ def test_sweep_marks_below_minimum(trained, tmp_path, capsys):
     assert rows[1] == "1.0,"
 
 
+def test_sweep_default_lengths_are_the_analyzer_grid(trained, tmp_path, capsys):
+    runs_manifest = os.path.join(os.path.dirname(os.path.dirname(trained["ckpt"])), "manifest.csv")
+    sweep_csv, report_csv = str(tmp_path / "sweep.csv"), str(tmp_path / "report.csv")
+    assert main(["sweep", "--checkpoint", trained["ckpt"], "--manifest", runs_manifest,
+                 "--out", sweep_csv]) == 0
+    assert main(["analyze", "--out", report_csv]) == 0
+    capsys.readouterr()
+    with open(sweep_csv, newline="") as fh:
+        swept = list(csv.reader(fh))[1:]
+    with open(report_csv, newline="") as fh:
+        reported = [key for section, key, _ in csv.reader(fh) if section == "flops"]
+    assert [length for length, _ in swept] == [f"{s}.0" for s in range(1, 11)]
+    # The analyzer leaves out the lengths below the model's minimum input,
+    # which the sweep reports as n/a (an empty accuracy).
+    assert [f"{float(length):g}s" for length, acc in swept if acc] == reported
+    assert len(reported) == 9
+
+
 def test_infer_labels_a_clip(trained, capsys):
     row = read_manifest(trained["manifest"])[0]
     wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
@@ -218,6 +238,27 @@ def test_train_stops_on_non_finite_loss(tiny_corpus, tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: non-finite training {message}")
         assert not os.path.exists(os.path.join(out, "run0", "model.ckpt"))
+
+
+def test_train_without_options_uses_the_train_settings_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_training", lambda manifest, settings: seen.append((manifest, settings)))
+    assert main(["train", "--manifest", "m.csv"]) == 0
+    assert seen == [("m.csv", TrainSettings())]
+
+
+def test_train_options_map_to_train_settings_fields(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_training", lambda manifest, settings: seen.append(settings))
+    assert main(["train", "--manifest", "m.csv", "--task", "arousal", "--out", "elsewhere",
+                 "--seed", "4", "--epochs", "5", "--batch-size", "6", "--lr", "0.01",
+                 "--crop-s", "2.5", "--splits", "1,2,3", "--by-participant", "--runs", "2"]) == 0
+    want = TrainSettings(task="arousal", epochs=5, batch_size=6, lr=0.01, crop_s=2.5, seed=4,
+                         runs=2, splits=(1, 2, 3), by_participant=True, out_dir="elsewhere")
+    assert seen == [want]
+    # Every field differs from its default, so each one has an option.
+    default = TrainSettings()
+    assert [f.name for f in fields(TrainSettings) if getattr(want, f.name) == getattr(default, f.name)] == []
 
 
 def test_usage_errors_exit_2(trained, tmp_path, capsys):

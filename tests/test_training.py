@@ -107,6 +107,19 @@ def test_train_run_normalizes_stacked_batches(monkeypatch):
     assert shapes == [(2, 1, 120, 64), (2, 1, 120, 64), (1, 1, 120, 64)]  # two batches, validation
 
 
+def test_train_run_returns_a_model_without_gradients():
+    # The returned weights are the best epoch's copy; the last step's
+    # gradients belong to none of them and would only hold memory.
+    rng = np.random.default_rng(4)
+    feats = [rng.standard_normal((150, 64)).astype(np.float32) for _ in range(4)]
+    config = ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4)
+    model, _ = train_run(feats, np.array([0, 1, 0, 1]), feats[:2], np.array([0, 1]), config,
+                         TrainSettings(epochs=2, batch_size=2, crop_s=1.2), 5)
+    params = model.parameters()
+    assert len(params) == 18
+    assert [name for name, p in params.items() if p.grad is not None] == []
+
+
 # -- smoke run and artifacts ------------------------------------------------
 
 
