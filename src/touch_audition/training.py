@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsp
-from .autograd import Tensor, cross_entropy, no_grad
+from .autograd import Tensor, cross_entropy
 from .data import (
     TASK_CLASSES,
     DEFAULT_SPLITS,
@@ -145,14 +145,14 @@ def evaluate(
     labels: np.ndarray,
     n_classes: int,
     length_s: float | None = None,
-    batch_size: int = 32,
 ) -> EvalResult:
     """Accuracy and confusion at a fixed length (center crop) or full clips.
 
     Raises InputTooShortError when a clip is too short for the length or
-    gives the model fewer frames than it needs. Each batch's clips are
-    grouped by frame count and each group gets one forward, so no clip is
-    trimmed to fit the others in its batch.
+    gives the model fewer frames than it needs. Each clip gets its own
+    forward, the `predict` call `infer` makes, so a clip scores the bits
+    `infer` gives it: a batched forward rounds the classifier's GEMM
+    differently with the number of rows.
     """
     clips = _model_inputs(model, features, length_s)
     if clips is None:
@@ -160,20 +160,19 @@ def evaluate(
         raise InputTooShortError(
             f"{shown} give the model fewer than the {model.min_frames} frames it needs")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    with no_grad():
-        for i in range(0, len(clips), batch_size):
-            groups: dict[int, list[int]] = {}
-            for j in range(i, min(i + batch_size, len(clips))):
-                groups.setdefault(clips[j].shape[0], []).append(j)
-            for group in groups.values():
-                x = np.stack([clips[j] for j in group])[:, None]
-                x = model.normalize(x)  # rebinding frees the raw stack before forward
-                pred = model.forward(x).data.argmax(axis=1)
-                for j, p in zip(group, pred):
-                    confusion[labels[j], p] += 1
+    for clip, label in zip(clips, labels):
+        pred, _ = model.predict(model.normalize(clip[None, None]))
+        confusion[label, pred[0]] += 1
     n = int(confusion.sum())
     acc = float(np.trace(confusion)) / n if n else float("nan")
     return EvalResult(acc, confusion, n)
+
+
+def _kept_epoch(history: list[dict]) -> dict:
+    """The history entry whose weights a run keeps: the first epoch with the
+    best validation accuracy. A NaN accuracy never displaces an earlier
+    epoch, and a first epoch at NaN is never displaced."""
+    return max(history, key=lambda h: h["val_acc"])
 
 
 def train_run(
@@ -211,7 +210,7 @@ def train_run(
     state = list(named.values())
     crop_s = settings.crop()
     history: list[dict] = []
-    best_acc, best_state = 0.0, []
+    best_state = []
     for epoch in range(1, settings.epochs + 1):
         t0 = time.perf_counter()
         total_loss, total_n = 0.0, 0
@@ -239,8 +238,7 @@ def train_run(
                 )
             total_loss += float(loss.data) * len(idx)
             total_n += len(idx)
-        val = evaluate(model, val_features, val_labels, config.n_classes,
-                       length_s=crop_s, batch_size=settings.batch_size)
+        val = evaluate(model, val_features, val_labels, config.n_classes, length_s=crop_s)
         entry = {
             "epoch": epoch,
             "train_loss": total_loss / total_n,
@@ -248,8 +246,7 @@ def train_run(
             "seconds": time.perf_counter() - t0,
         }
         history.append(entry)
-        if not best_state or val.accuracy > best_acc:
-            best_acc = val.accuracy
+        if _kept_epoch(history) is entry:
             best_state = [a.copy() for a in state]
         if log:
             log(f"  epoch {epoch:3d}  loss {entry['train_loss']:.4f}  "
@@ -342,11 +339,10 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
         test = None
         if subsets["test"]:
             test = evaluate(model, feats["test"], labels["test"], len(classes),
-                            length_s=settings.crop(), batch_size=settings.batch_size)
+                            length_s=settings.crop())
             save_confusion_csv(os.path.join(run_dir, "confusion.csv"), test.confusion, classes)
             save_confusion_pgm(os.path.join(run_dir, "confusion.pgm"), test.confusion)
-        # The epoch train_run kept: the first with the best validation accuracy.
-        best = max(history, key=lambda h: h["val_acc"])
+        best = _kept_epoch(history)
         summary.runs.append(RunResult(run, history, best["epoch"], best["val_acc"], test, ckpt))
         if log:
             tested = f", test {test.accuracy:.4f}" if test is not None else ""

@@ -1,5 +1,5 @@
 """Training harness: featurization cache, smoke runs, artifacts, determinism,
-evaluation grouping, and the length sweep."""
+per-clip evaluation, and the length sweep."""
 
 from __future__ import annotations
 
@@ -198,6 +198,23 @@ def test_run_training_keeps_the_best_validation_epoch(tiny_corpus, tmp_path, mon
         assert fh.read().splitlines()[1].split(",")[:3] == ["0", "2", "0.900000"]
 
 
+def test_run_training_keeps_the_first_of_tied_validation_epochs(tiny_corpus, tmp_path, monkeypatch):
+    # Epochs 1 and 2 tie; the run must keep, save and report epoch 1, the
+    # same model as a run stopped after epoch 1.
+    results = {}
+    for epochs, accuracies in ((3, [0.9, 0.9, 0.4]), (1, [0.9])):
+        out = str(tmp_path / f"e{epochs}")
+        _scripted_val_accuracy(monkeypatch, accuracies)
+        summary = run_training(tiny_corpus, smoke_settings(out, epochs=epochs), log=None)
+        with open(os.path.join(out, "run0", "model.ckpt"), "rb") as fh:
+            results[epochs] = (summary.runs[0], fh.read())
+    (three, ckpt3), (one, ckpt1) = results[3], results[1]
+    assert ckpt3 == ckpt1
+    assert (three.best_epoch, three.best_val_acc) == (1, 0.9)
+    with open(str(tmp_path / "e3" / "summary.csv")) as fh:
+        assert fh.read().splitlines()[1].split(",")[:3] == ["0", "1", "0.900000"]
+
+
 def test_run_training_persists_split_manifest(tiny_corpus, tmp_path):
     out = str(tmp_path / "runs")
     run_training(tiny_corpus, smoke_settings(out), log=None)
@@ -272,7 +289,7 @@ def test_evaluate_groups_full_clips_by_length():
     feats = [(rng.standard_normal((t, 64)) + 4 * rng.standard_normal(64)).astype(np.float32)
              for t in (997, 997, 597, 297)]
     labels = np.array([0, 1, 2, 3])
-    res = evaluate(model, feats, labels, 6, length_s=None, batch_size=4)
+    res = evaluate(model, feats, labels, 6, length_s=None)
     assert res.n == 4
     assert res.confusion.shape == (6, 6)
     assert res.confusion.sum() == 4
@@ -300,11 +317,37 @@ def test_evaluate_crop_does_not_depend_on_batch_companions(monkeypatch):
         return forward(self, x, *args, **kwargs)
 
     monkeypatch.setattr(Mtrcnn, "forward", spy)
-    res = evaluate(model, feats, np.array([0, 1]), 2, length_s=10.0, batch_size=2)
+    res = evaluate(model, feats, np.array([0, 1]), 2, length_s=10.0)
     assert res.n == 2
     assert sorted(x.shape for x in seen) == [(1, 1, 998, 64), (1, 1, 1000, 64)]
     full = next(x for x in seen if x.shape[2] == 1000)
     assert np.array_equal(full[0, 0], model.normalize(feats[0]))
+
+
+def test_evaluate_runs_each_clip_through_the_single_clip_forward(monkeypatch):
+    # Three clips with one frame count could share a forward, but a batched
+    # classifier GEMM rounds differently with its row count: every clip gets
+    # its own forward, with the logits `predict` (what `infer` calls) gives it.
+    rng = np.random.default_rng(23)
+    model = Mtrcnn(ModelConfig(n_classes=3, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4), rng)
+    feats = [rng.standard_normal((200, 64)).astype(np.float32) for _ in range(3)]  # 2 s whole
+    seen = []
+    forward = Mtrcnn.forward
+
+    def spy(self, x, *args, **kwargs):
+        out = forward(self, x, *args, **kwargs)
+        seen.append((x.shape, out.data.copy()))
+        return out
+
+    monkeypatch.setattr(Mtrcnn, "forward", spy)
+    res = evaluate(model, feats, np.array([0, 1, 2]), 3, length_s=2.0)
+    assert res.n == 3
+    assert [shape for shape, _ in seen] == [(1, 1, 200, 64)] * 3
+    evaluated = [logits.tobytes() for _, logits in seen]
+    seen.clear()
+    for f in feats:
+        model.predict(model.normalize(f[None, None]))
+    assert [logits.tobytes() for _, logits in seen] == evaluated
 
 
 def test_evaluate_center_crop_is_deterministic():
