@@ -146,39 +146,11 @@ def _bn_fold(gamma, beta, mu, var):
     return inv_std, scale, beta - mu * scale
 
 
-def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None) -> np.ndarray:
-    """x * scale + shift per channel, built in `out` or one new buffer."""
+def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x * scale + shift per channel, built in `out`."""
     h = np.multiply(x, _channel(scale), out=out)
     h += _channel(shift)
     return h
-
-
-def _bn_backward(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray, training: bool):
-    """Batch-norm gradients from the output gradient `g` (read only).
-
-    Returns (d input, d gamma, d beta). The input gradient is built in
-    `xhat`'s buffer, which is overwritten: in training mode it is
-    scale * (g - mean(g) - xhat * mean(g * xhat)), in eval mode scale * g.
-    """
-    n, c = g.shape[:2]
-    gbeta = g.reshape(n, c, -1).sum(axis=2).sum(axis=0)
-    ggamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat.reshape(n, c, -1))
-    if training:
-        m = g.size // c
-        xhat *= _channel(-ggamma / m)
-        xhat += g
-        xhat -= _channel(gbeta / m)
-        xhat *= _channel(scale)
-    else:
-        np.multiply(g, _channel(scale), out=xhat)
-    return xhat, ggamma, gbeta
-
-
-def _bn_accumulate(*pairs: tuple["Tensor", np.ndarray]) -> None:
-    """Hand each (tensor, gradient) pair's gradient over if the tensor wants one."""
-    for t, grad in pairs:
-        if t.requires_grad:
-            t._accumulate(grad)
 
 
 def _pooled_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -190,9 +162,9 @@ def _pooled_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     return (*shape[:2], t2, f2)
 
 
-def _pool2x2(x: np.ndarray, out=None) -> np.ndarray:
-    """2x2 average pooling, stride 2, over the last two axes, into `out` or
-    one new buffer of `_pooled_shape(x.shape)`."""
+def _pool2x2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2x2 average pooling, stride 2, over the last two axes, into `out` of
+    `_pooled_shape(x.shape)`."""
     t2, f2 = _pooled_shape(x.shape)[2:]
     out = np.add(x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2], x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2],
                  out=out)
@@ -243,6 +215,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # A tensor that does not require a gradient never receives one, so
+        # closures hand every parent its gradient without asking.
+        if not self.requires_grad:
+            return
         # The first gradient is stored as given, later ones are added out of
         # place: `grad` may also be another node's gradient (`__add__` hands
         # the same array to both parents; `reshape` and `concat` pass views).
@@ -304,10 +280,8 @@ class Tensor:
         out = Tensor._make(self.data + other.data, (self, other))
         if out.requires_grad:
             def _backward():
-                if self.requires_grad:
-                    self._accumulate(_sum_to(out.grad, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_sum_to(out.grad, other.data.shape))
+                self._accumulate(_sum_to(out.grad, self.data.shape))
+                other._accumulate(_sum_to(out.grad, other.data.shape))
             out._backward = _backward
         return out
 
@@ -315,10 +289,8 @@ class Tensor:
         out = Tensor._make(self.data * other.data, (self, other))
         if out.requires_grad:
             def _backward():
-                if self.requires_grad:
-                    self._accumulate(_sum_to(out.grad * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_sum_to(out.grad * self.data, other.data.shape))
+                self._accumulate(_sum_to(out.grad * other.data, self.data.shape))
+                other._accumulate(_sum_to(out.grad * self.data, other.data.shape))
             out._backward = _backward
         return out
 
@@ -326,10 +298,8 @@ class Tensor:
         out = Tensor._make(self.data @ other.data, (self, other))
         if out.requires_grad:
             def _backward():
-                if self.requires_grad:
-                    self._accumulate(out.grad @ other.data.T)
-                if other.requires_grad:
-                    other._accumulate(self.data.T @ out.grad)
+                self._accumulate(out.grad @ other.data.T)
+                other._accumulate(self.data.T @ out.grad)
             out._backward = _backward
         return out
 
@@ -370,11 +340,19 @@ class Tensor:
         return out
 
     def avg_pool2d(self) -> "Tensor":
-        """2x2 average pooling, stride 2, floor semantics on odd sizes."""
-        out = Tensor._make(_pool2x2(self.data), (self,))
+        """2x2 average pooling, stride 2, floor semantics on odd sizes.
+
+        The model runs `bn_relu_pool` instead; this op is its unfused
+        reference, a mean over each window of the cropped even-sized input.
+        """
+        n, c, t2, f2 = _pooled_shape(self.data.shape)
+        even = self.data[:, :, : 2 * t2, : 2 * f2]
+        out = Tensor._make(even.reshape(n, c, t2, 2, f2, 2).mean(axis=(3, 5)), (self,))
         if out.requires_grad:
             def _backward():
-                self._accumulate(_unpool2x2(out.grad, np.empty(self.data.shape, out.grad.dtype)))
+                g = np.zeros(self.data.shape, out.grad.dtype)
+                g[:, :, : 2 * t2, : 2 * f2] = (0.25 * out.grad).repeat(2, axis=2).repeat(2, axis=3)
+                self._accumulate(g)
             out._backward = _backward
         return out
 
@@ -447,8 +425,7 @@ class Tensor:
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
-                if bias.requires_grad:
-                    bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+                bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
                 need_w = weight.requires_grad
                 need_x = self.requires_grad
                 if not (need_w or need_x):
@@ -502,23 +479,27 @@ class Tensor:
 
         Training mode normalizes with biased batch statistics and updates the
         running buffers in place; eval mode uses the buffers. The model runs
-        `bn_relu_pool` instead; this op is its unfused reference.
+        `bn_relu_pool` instead; this op is its unfused reference, the
+        textbook form of Ioffe & Szegedy (arXiv:1502.03167), and shares only
+        `_bn_stats` with the fused op.
         """
         x = self.data
         mu, var = _bn_stats(x, running_mean, running_var, training)
-        inv_std, scale, shift = _bn_fold(gamma.data, beta.data, mu, var)
-        track = _GRAD_ENABLED.get() and (self.requires_grad or gamma.requires_grad or beta.requires_grad)
-        if track:
-            xhat = (x - _channel(mu)) * _channel(inv_std)
-            out_data = _channel(gamma.data) * xhat + _channel(beta.data)
-        else:
-            out_data = _bn_affine(x, scale, shift)
+        inv_std = _channel(1.0 / np.sqrt(var + _BN_EPS))
+        xhat = (x - _channel(mu)) * inv_std
+        out_data = _channel(gamma.data) * xhat + _channel(beta.data)
         out = Tensor._make(out_data.astype(x.dtype, copy=False), (self, gamma, beta))
         if out.requires_grad:
             def _backward():
-                # The graph is single-use, so xhat's buffer is free to reuse.
-                gx, ggamma, gbeta = _bn_backward(out.grad, xhat, scale, training)
-                _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
+                g = out.grad
+                axes = (0, 2, 3)
+                gxhat = g * _channel(gamma.data)
+                if training:
+                    gxhat = (gxhat - gxhat.mean(axis=axes, keepdims=True)
+                             - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True))
+                self._accumulate(gxhat * inv_std)
+                gamma._accumulate((g * xhat).sum(axis=axes))
+                beta._accumulate(g.sum(axis=axes))
             out._backward = _backward
         return out
 
@@ -599,7 +580,9 @@ class Tensor:
                             gp -= h
                 else:
                     gx *= _channel(scale)
-                _bn_accumulate((self, gx), (gamma, ggamma), (beta, gbeta))
+                self._accumulate(gx)
+                gamma._accumulate(ggamma)
+                beta._accumulate(gbeta)
             out._backward = _backward
         return out
 
@@ -624,10 +607,9 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         offsets = np.cumsum([0] + sizes)
         def _backward():
             for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * out.grad.ndim
-                    idx[axis] = slice(a, b)
-                    t._accumulate(out.grad[tuple(idx)])
+                idx = [slice(None)] * out.grad.ndim
+                idx[axis] = slice(a, b)
+                t._accumulate(out.grad[tuple(idx)])
         out._backward = _backward
     return out
 

@@ -197,4 +197,9 @@ def load_melf(path: str) -> np.ndarray:
             raise AudioFormatError(f"{path}: truncated MELF payload")
         if len(data) > 4 * t * f:
             raise AudioFormatError(f"{path}: {len(data) - 4 * t * f} trailing bytes after the MELF payload")
-    return np.frombuffer(data, dtype="<f4").reshape(t, f).copy()
+    feat = np.frombuffer(data, dtype="<f4").reshape(t, f).copy()
+    # Log-mel features are finite (the log of at least LOG_FLOOR); a NaN
+    # logit would silently take class 0 in argmax.
+    if not np.all(np.isfinite(feat)):
+        raise AudioFormatError(f"{path}: non-finite values in the MELF payload")
+    return feat

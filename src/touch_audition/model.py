@@ -150,9 +150,7 @@ class Mtrcnn(Layer):
             raise ValueError("training forward pass needs an explicit dropout_rng")
         embs = [branch(x, training) for branch in self.branches]
         h = self.fusion(concat(embs, axis=1)).relu()
-        if training:
-            h = h.dropout(self.config.dropout, dropout_rng, training)
-        return self.head(h)
+        return self.head(h.dropout(self.config.dropout, dropout_rng, training))
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class indices and softmax probabilities, no graph construction."""
@@ -207,7 +205,8 @@ def load_checkpoint(path: str) -> Mtrcnn:
     """Rebuild a model from checkpoint bytes, validating names, shapes and values.
 
     Any malformed file (truncated, trailing bytes, bad config, unknown or
-    missing tensors, non-finite values) raises CheckpointFormatError.
+    missing tensors, non-finite values, a feature std <= 0 or a negative
+    running variance) raises CheckpointFormatError.
     """
     try:
         with open(path, "rb") as fh:
@@ -248,6 +247,16 @@ def load_checkpoint(path: str) -> Mtrcnn:
     nonfinite = sorted(name for name, arr in loaded.items() if not np.all(np.isfinite(arr)))
     if nonfinite:
         raise CheckpointFormatError(f"{path}: non-finite values in {nonfinite}")
+    # Either would make every prediction NaN. Training floors the feature std
+    # at 1e-6 and blends non-negative batch variances into the running ones;
+    # a running variance can still underflow to 0, which `_BN_EPS` keeps usable.
+    unusable = sorted(
+        name for name, arr in loaded.items()
+        if (name == "feature_std" and np.any(arr <= 0))
+        or (name.endswith(".running_var") and np.any(arr < 0))
+    )
+    if unusable:
+        raise CheckpointFormatError(f"{path}: feature std <= 0 or running variance < 0 in {unusable}")
     # The parameters and the two feature-statistics vectors are all stored
     # as float32, so a config asking for more than the file holds is
     # corrupt; checking first keeps it from allocating a model of any size.

@@ -368,6 +368,27 @@ def test_bn_relu_pool_long_input_matches_unfused_composition(monkeypatch, traini
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_unfused_references_run_no_tail_helper(monkeypatch, training):
+    # The references share only `_bn_stats` with `bn_relu_pool`, so a fault
+    # in one of the fused op's helpers cannot show up on both sides of the
+    # equivalence tests and cancel out.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an unfused reference ran a fused-tail helper")
+
+    for name in ("_bn_fold", "_bn_affine", "_pool2x2", "_unpool2x2"):
+        monkeypatch.setattr(autograd, name, forbidden)
+    n, c, t, f = 2, 3, 5, 7
+    x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
+    gamma, beta = (Tensor(v, requires_grad=True) for v in _gamma_beta(c))
+    out = x.batch_norm(gamma, beta, np.zeros(c), np.ones(c), training=training).relu().avg_pool2d()
+    out.sum().backward()
+    assert x.grad.shape == (n, c, t, f) and gamma.grad.shape == beta.grad.shape == (c,)
+    with no_grad():
+        out = x.batch_norm(gamma, beta, np.zeros(c), np.ones(c), training=training).relu().avg_pool2d()
+    assert out.data.shape == (n, c, 2, 3)
+
+
 def test_bn_relu_pool_forward_never_builds_a_full_size_array():
     # A no-grad forward rectifies one channel group at a time: beyond its
     # quarter-size output it holds one tile, not a second full-size array.
@@ -640,6 +661,27 @@ def test_accumulate_keeps_aliased_gradients_apart():
     assert np.array_equal(a.grad, (c + c) + (c + c))
     assert np.array_equal(b.grad, c + c)
     assert np.array_equal(first_a, c + c) and np.array_equal(first_b, c)
+
+
+def test_constant_operands_receive_no_gradient():
+    # A tensor that does not require a gradient never gets one, whichever op
+    # it feeds, while the operands that do require one get theirs.
+    def pair(*shape):
+        return (Tensor(RNG.standard_normal(shape), requires_grad=True),
+                Tensor(RNG.standard_normal(shape)))
+
+    (a, ca), (m, cm), (w, cw), (e, ce) = pair(3, 4), pair(3, 4), pair(4, 2), pair(3, 1)
+    x = Tensor(RNG.standard_normal((1, 2, 6, 6)), requires_grad=True)
+    weight = Tensor(RNG.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    bias, gamma, beta = (Tensor(RNG.standard_normal(3)) for _ in range(3))
+    h = x.conv2d(weight, bias).bn_relu_pool(gamma, beta, np.zeros(3), np.ones(3), training=True)
+    loss = ((a + ca).sum() + (m * cm).sum() + a.matmul(cw).sum() + ca.matmul(w).sum()
+            + concat([e, ce], axis=1).sum() + h.sum())
+    loss.backward()
+    for t in (ca, cm, cw, ce, bias, gamma, beta):
+        assert t.grad is None
+    for t in (a, m, w, e, x, weight):
+        assert t.grad is not None and t.grad.shape == t.shape
 
 
 def test_adam_first_step_hand_value():

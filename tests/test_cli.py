@@ -14,7 +14,7 @@ import pytest
 from touch_audition import cli, dsp
 from touch_audition.cli import main
 from touch_audition.data import GESTURES, read_manifest, write_manifest
-from touch_audition.model import ModelConfig, Mtrcnn, save_checkpoint
+from touch_audition.model import ModelConfig, Mtrcnn, load_checkpoint, save_checkpoint
 from touch_audition.training import TrainSettings
 
 
@@ -209,6 +209,37 @@ def test_infer_rejects_checkpoint_with_wrong_mel_bins(trained, tmp_path, capsys)
     assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bad config blob" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [("feature_std", 0.0), ("branch3.bn1.running_var", -1.0)])
+def test_infer_rejects_checkpoint_that_makes_every_prediction_nan(trained, tmp_path, capsys,
+                                                                   name, value):
+    # Finite, so the non-finite check passes it, but normalize divides by a
+    # zero std and batch norm takes the root of a negative variance.
+    ckpt = str(tmp_path / "unusable.ckpt")
+    model = load_checkpoint(trained["ckpt"])
+    model.buffers()[name][0] = value
+    save_checkpoint(ckpt, model)
+    row = read_manifest(trained["manifest"])[0]
+    wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
+    assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err and captured.err.count("\n") == 1
+
+
+def test_eval_rejects_melf_with_non_finite_values(trained, tmp_path, capsys):
+    # One NaN would give NaN logits, which argmax reads as class 0.
+    melf = str(tmp_path / "nan.melf")
+    feats = np.zeros((300, 64), dtype=np.float32)
+    feats[150, 10] = np.nan
+    dsp.save_melf(melf, feats)
+    row = read_manifest(trained["manifest"])[0]
+    manifest = str(tmp_path / "manifest.csv")
+    write_manifest(manifest, [replace(row, path=melf, split="")])
+    assert main(["eval", "--checkpoint", trained["ckpt"], "--manifest", manifest, "--split", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
 
 
 def test_eval_rejects_melf_with_wrong_mel_bins(trained, tmp_path, capsys):

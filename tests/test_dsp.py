@@ -299,6 +299,12 @@ def test_melf_rejects_bad_bytes(tmp_path):
             dsp.load_melf(trunc)
     with pytest.raises(AudioFormatError):
         dsp.load_melf(str(tmp_path / "missing.melf"))
+    # A well-formed container holding one non-finite value.
+    for value in (np.nan, np.inf, -np.inf):
+        feats[3, 5] = value
+        dsp.save_melf(trunc, feats)
+        with pytest.raises(AudioFormatError, match="non-finite"):
+            dsp.load_melf(trunc)
 
 
 @pytest.fixture(scope="module")

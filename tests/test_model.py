@@ -246,6 +246,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointFormatError, match="non-finite"):
         load_checkpoint(nonfinite)
 
+    # Finite values that would make every prediction NaN: a feature std of
+    # 0 (or below) and a negative running variance. A running variance of
+    # exactly 0 can come out of training and still loads.
+    for name, value, ok in [("feature_std", 0.0, False), ("feature_std", -1.0, False),
+                            ("branch3.bn1.running_var", -1.0, False),
+                            ("branch3.bn1.running_var", 0.0, True)]:
+        model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+        model.buffers()[name][0] = value
+        unusable = str(tmp_path / "unusable.ckpt")
+        save_checkpoint(unusable, model)
+        if ok:
+            assert load_checkpoint(unusable).buffers()[name][0] == value
+        else:
+            with pytest.raises(CheckpointFormatError, match=name.replace(".", r"\.")):
+                load_checkpoint(unusable)
+
 
 def test_config_blob_round_trip():
     cfg = ModelConfig(task="valence", n_classes=3, dropout=0.35)

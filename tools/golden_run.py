@@ -1,0 +1,66 @@
+"""The golden run: a seeded end-to-end sequence whose bytes a refactor must keep.
+
+    python tools/golden_run.py
+    PYTHONPATH=<other checkout>/src python tools/golden_run.py
+
+Runs synth, train, eval, sweep and infer as `python -m touch_audition.cli`
+subprocesses in a temporary directory with OPENBLAS_NUM_THREADS=1, then
+prints `sha256  name` for each command's stdout (`stdout:<command>`, with
+`train`'s per-epoch `(N.Ns)` timings taken out) and for every file the
+commands wrote, with the temporary directory's path (which `train` writes
+into `runs/manifest.csv`) read as `<work>`. Two checkouts that print the same
+lines wrote the same bytes.
+The package is imported from PYTHONPATH when it is set, else from this
+checkout's src/.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CKPT = "runs/run0/model.ckpt"
+COMMANDS = (
+    ("synth", "synth --per-class 6 --seed 5 --seconds 4 --out corpus"),
+    ("train", "train --manifest corpus/manifest.csv --out runs --seed 7 --epochs 3 "
+              "--batch-size 8 --crop-s 2 --splits 18,9,9"),
+    ("eval", f"eval --checkpoint {CKPT} --manifest runs/manifest.csv --length full --out eval.csv"),
+    ("sweep", f"sweep --checkpoint {CKPT} --manifest runs/manifest.csv --lengths 1,2,3,4 "
+              "--out sweep.csv"),
+    ("infer", f"infer --checkpoint {CKPT} --wav corpus/tap_003.wav"),
+)
+TIMING = re.compile(rb" *\(\d+\.\ds\)")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.environ.get("PYTHONPATH") or SRC)
+    with tempfile.TemporaryDirectory(prefix="golden-run-") as work:
+        for name, args in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "touch_audition.cli", *args.split()],
+                                  cwd=work, env=env, capture_output=True)
+            if proc.returncode != 0:
+                sys.stderr.buffer.write(proc.stderr)
+                print(f"golden_run: {name} exited {proc.returncode}", file=sys.stderr)
+                return 1
+            stdout = TIMING.sub(b"", proc.stdout) if name == "train" else proc.stdout
+            print(f"{sha256(stdout)}  stdout:{name}")
+        written = sorted(
+            os.path.relpath(os.path.join(root, f), work) for root, _, files in os.walk(work) for f in files
+        )
+        for rel in written:
+            with open(os.path.join(work, rel), "rb") as fh:
+                print(f"{sha256(fh.read().replace(work.encode(), b'<work>'))}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
