@@ -186,7 +186,6 @@ class ResourceReport:
     rf_exact: dict[int, list[int]]
     flops_grid: list[FlopsCell]
     budget_g: float
-    cost_convention: str
     cost_at_full_clip_g: float
     within_budget: bool
 
@@ -217,7 +216,7 @@ class ResourceReport:
         verdict = "within" if self.within_budget else "OVER"
         lines.append(
             f"budget check: {self.cost_at_full_clip_g:.3f} G ops "
-            f"({self.cost_convention} convention, 10 s clip) "
+            "(two_mac convention, 10 s clip) "
             f"vs {self.budget_g:.2f} G budget -> {verdict}"
         )
         return "\n".join(lines)
@@ -247,7 +246,7 @@ def frames_for_seconds(seconds: float) -> int:
     return num_frames(int(round(seconds * SAMPLE_RATE)))
 
 
-def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceReport:
+def build_report(config: ModelConfig) -> ResourceReport:
     params = count_params(config)
     min_frames = min_input_frames(config)
     rf_ref = {
@@ -272,7 +271,7 @@ def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceRe
         ]
         grid.append(FlopsCell(length, frames, mac, two, ",".join(tags)))
     full_frames = frames_for_seconds(10.0)
-    cost_g = count_flops(config, full_frames, convention=convention)["total"] / 1e9
+    cost_g = count_flops(config, full_frames, convention="two_mac")["total"] / 1e9
     return ResourceReport(
         task=config.task,
         n_classes=config.n_classes,
@@ -284,7 +283,6 @@ def build_report(config: ModelConfig, convention: str = "two_mac") -> ResourceRe
         rf_exact=rf_exact,
         flops_grid=grid,
         budget_g=BUDGET_G,
-        cost_convention=convention,
         cost_at_full_clip_g=cost_g,
         within_budget=cost_g <= BUDGET_G,
     )

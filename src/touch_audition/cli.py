@@ -138,8 +138,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = ModelConfig(task=args.task, n_classes=len(TASK_CLASSES[args.task]))
-    report = build_report(config, convention=args.convention)
+    report = build_report(ModelConfig(task=args.task))
     print(report.format_text())
     if args.out:
         report.to_csv(args.out)
@@ -264,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="static resource report (params, RF, MACs, budget)")
     _add_task(p)
-    p.add_argument("--convention", choices=("mac", "two_mac"), default="two_mac",
-                   help="FLOPs convention for the budget line (default two_mac)")
     p.add_argument("--out", default=None, help="write report CSV here")
     p.set_defaults(func=cmd_analyze)
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .analysis import count_params, min_input_frames
+from .analysis import min_input_frames
 from .autograd import Tensor, concat, no_grad, softmax
 from .data import FRAMES_PER_SECOND, TASK_CLASSES
 from .dsp import N_MELS
@@ -28,13 +29,19 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The MTRCNN for one task. The architecture is fixed; the task sets
+    only the head's size, its class count."""
+
     task: str = "gesture"
-    n_classes: int = 6
-    kernel_sizes: tuple[int, ...] = (3, 5, 7)
-    filters: tuple[int, ...] = (16, 32, 64)
-    dilations: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (3, 1))
-    embed_dim: int = 64
-    dropout: float = 0.2
+    kernel_sizes: ClassVar[tuple[int, ...]] = (3, 5, 7)
+    filters: ClassVar[tuple[int, ...]] = (16, 32, 64)
+    dilations: ClassVar[tuple[tuple[int, int], ...]] = ((1, 1), (2, 1), (3, 1))
+    embed_dim: ClassVar[int] = 64
+    dropout: ClassVar[float] = 0.2
+
+    @property
+    def n_classes(self) -> int:
+        return len(TASK_CLASSES[self.task])
 
     def to_blob(self) -> bytes:
         lines = [
@@ -51,41 +58,14 @@ class ModelConfig:
 
     @staticmethod
     def from_blob(blob: bytes) -> "ModelConfig":
-        try:
-            kv = {}
-            for line in blob.decode("utf-8").splitlines():
-                key, _, value = line.partition("=")
-                kv[key] = value
-            n_mels = int(kv["n_mels"])
-            config = ModelConfig(
-                task=kv["task"],
-                n_classes=int(kv["n_classes"]),
-                kernel_sizes=tuple(int(s) for s in kv["kernel_sizes"].split(",")),
-                filters=tuple(int(s) for s in kv["filters"].split(",")),
-                dilations=tuple(
-                    tuple(int(x) for x in pair.split(","))  # type: ignore[misc]
-                    for pair in kv["dilations"].split(";")
-                ),
-                embed_dim=int(kv["embed_dim"]),
-                dropout=float(kv["dropout"]),
-            )
-        except (KeyError, ValueError) as e:
-            raise CheckpointFormatError(f"bad config blob: {e}") from e
-        if n_mels != N_MELS:
-            raise CheckpointFormatError(f"bad config blob: n_mels={n_mels}, the front end makes {N_MELS}")
-        sizes = (config.n_classes, config.embed_dim,
-                 *config.kernel_sizes, *config.filters, *sum(config.dilations, ()))
-        if (
-            min(sizes) < 1
-            or config.task not in TASK_CLASSES
-            or config.n_classes > len(TASK_CLASSES[config.task])  # a class index names a class
-            or len(set(config.kernel_sizes)) != len(config.kernel_sizes)  # one branch{k} each
-            or len(config.dilations) != len(config.filters)
-            or any(len(pair) != 2 for pair in config.dilations)
-            or not 0.0 <= config.dropout < 1.0
-        ):
-            raise CheckpointFormatError(f"bad config blob: values out of range in {config}")
-        return config
+        """The config that writes `blob`; any other blob (another
+        architecture, mel-bin count or class count, or an unknown task) is
+        refused."""
+        for task in TASK_CLASSES:
+            config = ModelConfig(task)
+            if config.to_blob() == blob:
+                return config
+        raise CheckpointFormatError(f"bad config blob: no task's model writes {blob[:120]!r}")
 
 
 class Branch(Layer):
@@ -114,9 +94,7 @@ class Branch(Layer):
 class Mtrcnn(Layer):
     """The full multi-branch model. Input: (n, 1, T, N_MELS) float32."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         self.branches = []
         for k in config.kernel_sizes:
@@ -257,12 +235,6 @@ def load_checkpoint(path: str) -> Mtrcnn:
     )
     if unusable:
         raise CheckpointFormatError(f"{path}: feature std <= 0 or running variance < 0 in {unusable}")
-    # The parameters and the two feature-statistics vectors are all stored
-    # as float32, so a config asking for more than the file holds is
-    # corrupt; checking first keeps it from allocating a model of any size.
-    if 4 * (count_params(config)["total"] + 2 * N_MELS) > len(data):
-        raise CheckpointFormatError(f"{path}: config describes more parameters than the file holds")
-
     model = Mtrcnn(config, rng=np.random.default_rng(0))
     params = model.parameters()
     buffers = model.buffers()

@@ -313,12 +313,14 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
 
     os.makedirs(settings.out_dir, exist_ok=True)
     # Persist the split assignment next to the run artifacts so later eval
-    # and sweep invocations can target the exact same test rows.
+    # and sweep invocations can target the exact same test rows. Paths are
+    # relative to the output directory, so it can move with the corpus.
     write_manifest(
         os.path.join(settings.out_dir, "manifest.csv"),
-        [replace(r, path=os.path.abspath(resolve_path(manifest_path, r))) for r in rows],
+        [replace(r, path=os.path.relpath(resolve_path(manifest_path, r), settings.out_dir))
+         for r in rows],
     )
-    config = ModelConfig(task=settings.task, n_classes=len(classes))
+    config = ModelConfig(task=settings.task)
     summary = TrainingSummary(task=settings.task)
     for run in range(settings.runs):
         run_seed = int(

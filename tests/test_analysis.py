@@ -19,8 +19,9 @@ from touch_audition.analysis import (
     min_input_frames,
     receptive_field,
 )
+from touch_audition.autograd import Tensor
 from touch_audition.errors import InputTooShortError
-from touch_audition.model import ModelConfig, Mtrcnn
+from touch_audition.model import Branch, ModelConfig, Mtrcnn
 
 RNG = np.random.default_rng(17)
 
@@ -66,15 +67,14 @@ def test_min_input_frames_per_branch():
     }
     assert per_branch == {3: 42, 5: 76, 7: 110}
     assert min_input_frames(cfg) == 110
-    # Forward probes: each single-branch model runs at its minimum and
-    # fails one frame below it.
+    # Forward probes: each branch runs at its minimum and fails one frame
+    # below it, where its last pool gets a single frame.
     for k, need in per_branch.items():
-        single = ModelConfig(kernel_sizes=(k,))
-        model = Mtrcnn(single, np.random.default_rng(0))
+        branch = Branch(cfg, k, np.random.default_rng(0))
         x = RNG.standard_normal((1, 1, need, 64)).astype(np.float32)
-        assert model.forward(x).data.shape == (1, 6)
-        with pytest.raises(InputTooShortError):
-            model.forward(x[:, :, : need - 1, :])
+        assert branch(Tensor(x), training=False).data.shape == (1, 64)
+        with pytest.raises(ValueError, match="spatial dims >= 2"):
+            branch(Tensor(x[:, :, : need - 1, :]), training=False)
 
 
 def test_pooled_exact_receptive_field_equals_min_frames():
@@ -85,7 +85,8 @@ def test_pooled_exact_receptive_field_equals_min_frames():
 
 def test_count_params_matches_live_enumeration_all_tasks():
     for task, k in (("gesture", 6), ("arousal", 3), ("valence", 3), ("aro_val", 5)):
-        cfg = ModelConfig(task=task, n_classes=k)
+        cfg = ModelConfig(task=task)
+        assert cfg.n_classes == k
         counted = count_params(cfg)
         live = Mtrcnn(cfg, np.random.default_rng(0))
         assert counted["total"] == live.num_params()
@@ -128,6 +129,8 @@ def test_report_contents_and_budget(tmp_path):
     assert report.rf_reference[7] == [7, 20, 38]
     assert report.rf_exact[7] == [7, 19, 37]
     assert report.within_budget
+    # The budget is in 2-FLOPs-per-MAC units, and so is the cost set against it.
+    assert report.cost_at_full_clip_g == count_flops(ModelConfig(), 997, "two_mac")["total"] / 1e9
     # At least one grid cell reconciles with the quoted full-clip cost.
     assert any(cell.reconciles for cell in report.flops_grid)
     # 1 s sits below the minimum length and is omitted from the grid.
@@ -137,6 +140,7 @@ def test_report_contents_and_budget(tmp_path):
     assert "240,038" in text
     assert "110 frames = 1.10 s" in text
     assert "[7, 20, 38]" in text
+    assert "(two_mac convention, 10 s clip)" in text
 
     out = str(tmp_path / "report.csv")
     report.to_csv(out)

@@ -42,12 +42,12 @@ def test_benchmark_tracer_times_one_crop_per_evaluated_clip():
     # The benchmark's data.crop_frames_ms comes from the patched
     # training.crop_frames; a crop taken through any other name reads 0.
     rng = np.random.default_rng(2)
-    net = model.Mtrcnn(model.ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4), rng)
+    net = model.Mtrcnn(model.ModelConfig(), rng)
     feats = [rng.standard_normal((t, dsp.N_MELS)).astype(np.float32) for t in (250, 230, 198)]
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        training.evaluate(net, feats, np.array([0, 1, 0]), 2, length_s=2.0)
+        training.evaluate(net, feats, np.array([0, 1, 0]), 6, length_s=2.0)
     finally:
         tracer.uninstall()
     assert [s[0] for s in tracer.spans].count("data.crop_frames") == len(feats)

@@ -122,6 +122,28 @@ def test_eval_full_clips(trained, capsys):
     assert "full clips" in capsys.readouterr().out
 
 
+def test_eval_follows_a_run_directory_moved_with_its_corpus(tiny_corpus, tmp_path, capsys):
+    # The run manifest names each clip relative to the run directory, so a
+    # corpus and its runs copied elsewhere, with the originals deleted,
+    # evaluate as they did in place.
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(os.path.dirname(tiny_corpus), old / "corpus")
+    assert main(["train", "--manifest", str(old / "corpus" / "manifest.csv"),
+                 "--out", str(old / "runs"), "--epochs", "1", "--batch-size", "8",
+                 "--crop-s", "1.2", "--splits", "12,3,3", "--seed", "3"]) == 0
+    capsys.readouterr()
+
+    def eval_stdout(root):
+        assert main(["eval", "--checkpoint", str(root / "runs" / "run0" / "model.ckpt"),
+                     "--manifest", str(root / "runs" / "manifest.csv")]) == 0
+        return capsys.readouterr().out
+
+    in_place = eval_stdout(old)
+    shutil.copytree(old, new)
+    shutil.rmtree(old)
+    assert eval_stdout(new) == in_place
+
+
 def test_sweep_marks_below_minimum(trained, tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--checkpoint", trained["ckpt"],
@@ -183,11 +205,15 @@ def test_infer_rejects_short_clip(trained, tmp_path, capsys):
     assert err.startswith("error:") and "110" in err
 
 
-@pytest.mark.parametrize("config", [ModelConfig(task="gestuse"), ModelConfig(n_classes=9)],
+@pytest.mark.parametrize("edit", [(b"task=gesture", b"task=gestuse"), (b"n_classes=6", b"n_classes=9")],
                          ids=["unknown-task", "too-many-classes"])
-def test_infer_rejects_checkpoint_config_its_task_cannot_label(trained, tmp_path, capsys, config):
+def test_infer_rejects_checkpoint_config_its_task_cannot_label(trained, tmp_path, capsys, edit):
     ckpt = str(tmp_path / "bad.ckpt")
-    save_checkpoint(ckpt, Mtrcnn(config))
+    save_checkpoint(ckpt, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(data.replace(*edit, 1))  # the same length, so the blob length still holds
     row = read_manifest(trained["manifest"])[0]
     wav = os.path.join(os.path.dirname(trained["manifest"]), row.path)
     assert main(["infer", "--checkpoint", ckpt, "--wav", wav]) == 1
@@ -199,7 +225,7 @@ def test_infer_rejects_checkpoint_with_wrong_mel_bins(trained, tmp_path, capsys)
     # A checkpoint declaring 32 bins cannot take the front end's 64: refused
     # on load, not by a numpy broadcast error in normalize.
     ckpt = str(tmp_path / "narrow.ckpt")
-    save_checkpoint(ckpt, Mtrcnn(ModelConfig()))
+    save_checkpoint(ckpt, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
     with open(ckpt, "rb") as fh:
         data = fh.read()
     with open(ckpt, "wb") as fh:

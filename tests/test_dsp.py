@@ -246,7 +246,7 @@ def test_hamming_window_is_symmetric_numpy():
 
 def _normalizer(mean: np.ndarray, std: np.ndarray) -> Mtrcnn:
     """A model carrying these feature statistics, as training fits them."""
-    model = Mtrcnn(ModelConfig())
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
     model.feature_mean[...] = mean
     model.feature_std[...] = std
     return model

@@ -11,8 +11,10 @@ from conftest import TracedMemory, corrupted, dependency_footprint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from touch_audition import autograd
 from touch_audition.analysis import count_params, min_input_frames
-from touch_audition.autograd import cross_entropy
+from touch_audition.autograd import cross_entropy, no_grad
+from touch_audition.data import TASK_CLASSES
 from touch_audition.errors import (
     AudioFormatError,
     CheckpointFormatError,
@@ -53,7 +55,7 @@ def test_parameter_ledger_matches_live_model():
     counted = count_params(cfg)
     assert counted["total"] == model.num_params()
     # 5-class head differs from the 6-class one by exactly 65 parameters.
-    five = count_params(ModelConfig(task="aro_val", n_classes=5))
+    five = count_params(ModelConfig(task="aro_val"))
     assert counted["total"] - five["total"] == 65
 
 
@@ -157,8 +159,27 @@ def test_predict_probabilities():
     assert np.array_equal(labels, probs.argmax(axis=1))
 
 
+def test_eval_logits_do_not_depend_on_tile_sizes(monkeypatch):
+    # The conv's output-frame tiles and the fused tail's channel tiles bound
+    # scratch memory only: a 10 s clip's eval logits keep their bits at any
+    # tile size, so eval, sweep and infer score a clip alike on any tiling.
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((1, 1, 997, 64)).astype(np.float32)
+
+    def logits() -> bytes:
+        with no_grad():
+            return model.forward(x).data.tobytes()
+
+    expected = logits()
+    for tile_frames in (1, 5, 32, 997):
+        for tail_bytes in (1, 128 * 1024, 64 * 1024 * 1024):
+            monkeypatch.setattr(autograd, "_TILE_FRAMES", tile_frames)
+            monkeypatch.setattr(autograd, "_TAIL_TILE_BYTES", tail_bytes)
+            assert logits() == expected, (tile_frames, tail_bytes)
+
+
 def test_checkpoint_round_trip(tmp_path):
-    model = Mtrcnn(ModelConfig(task="arousal", n_classes=3), np.random.default_rng(9))
+    model = Mtrcnn(ModelConfig(task="arousal"), np.random.default_rng(9))
     model.feature_mean[:] = RNG.standard_normal(64)
     model.feature_std[:] = RNG.uniform(0.5, 2.0, 64)
     # Push the BN buffers off their init values so the round trip is honest.
@@ -264,28 +285,35 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 
 def test_config_blob_round_trip():
-    cfg = ModelConfig(task="valence", n_classes=3, dropout=0.35)
-    assert ModelConfig.from_blob(cfg.to_blob()) == cfg
-    for bad in [
-        b"task=gesture\nn_classes=oops",
-        ModelConfig(kernel_sizes=(3, 0)).to_blob(),
-        ModelConfig(kernel_sizes=(3, 3)).to_blob(),
-        ModelConfig(dilations=((1, 1), (2, 1))).to_blob(),
-        ModelConfig(dropout=1.0).to_blob(),
-        ModelConfig().to_blob().replace(b"n_mels=64", b"n_mels=32"),  # the front end makes 64
-        b"\xff",
+    for task, classes in TASK_CLASSES.items():
+        cfg = ModelConfig(task)
+        assert cfg.n_classes == len(classes)
+        assert ModelConfig.from_blob(cfg.to_blob()) == cfg
+    # One line of a valid blob edited: only the blob a task's model writes loads.
+    valid = ModelConfig(task="valence").to_blob()
+    for line, edited in [
+        (b"n_classes=3", b"n_classes=oops"),
+        (b"n_classes=3", b"n_classes=9"),  # more classes than the task names
+        (b"n_classes=3", b"n_classes=2"),  # fewer: a class the head cannot give
+        (b"task=valence", b"task=valance"),
+        (b"kernel_sizes=3,5,7", b"kernel_sizes=3,0"),
+        (b"kernel_sizes=3,5,7", b"kernel_sizes=3,3"),
+        (b"dilations=1,1;2,1;3,1", b"dilations=1,1;2,1"),
+        (b"dropout=0.2", b"dropout=1.0"),
+        (b"n_mels=64", b"n_mels=32"),  # the front end makes 64
     ]:
-        with pytest.raises(CheckpointFormatError):
+        assert valid.count(line) == 1
+        with pytest.raises(CheckpointFormatError, match="bad config blob"):
+            ModelConfig.from_blob(valid.replace(line, edited))
+    for bad in (b"task=gesture\nn_classes=oops", b"\xff", b""):
+        with pytest.raises(CheckpointFormatError, match="bad config blob"):
             ModelConfig.from_blob(bad)
-
-
-FUZZ_CONFIG = ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4)
 
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fuzz") / "small.ckpt")
-    save_checkpoint(path, Mtrcnn(FUZZ_CONFIG, np.random.default_rng(1)))
+    save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(1)))
     with open(path, "rb") as fh:
         return path, fh.read()
 

@@ -112,11 +112,10 @@ def test_train_run_returns_a_model_without_gradients():
     # gradients belong to none of them and would only hold memory.
     rng = np.random.default_rng(4)
     feats = [rng.standard_normal((150, 64)).astype(np.float32) for _ in range(4)]
-    config = ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4)
-    model, _ = train_run(feats, np.array([0, 1, 0, 1]), feats[:2], np.array([0, 1]), config,
+    model, _ = train_run(feats, np.array([0, 1, 0, 1]), feats[:2], np.array([0, 1]), ModelConfig(),
                          TrainSettings(epochs=2, batch_size=2, crop_s=1.2), 5)
     params = model.parameters()
-    assert len(params) == 18
+    assert len(params) == 46
     assert [name for name, p in params.items() if p.grad is not None] == []
 
 
@@ -222,8 +221,8 @@ def test_run_training_persists_split_manifest(tiny_corpus, tmp_path):
     rows = read_manifest(os.path.join(out, "manifest.csv"))
     by_split = {s: sum(1 for r in rows if r.split == s) for s in ("train", "val", "test")}
     assert by_split == {"train": 12, "val": 3, "test": 3}
-    # Paths are absolutized so the persisted manifest works from anywhere.
-    assert all(os.path.isabs(r.path) and os.path.exists(r.path) for r in rows)
+    # Paths are relative to the run directory, so it can move with the corpus.
+    assert all(not os.path.isabs(r.path) and os.path.exists(os.path.join(out, r.path)) for r in rows)
     blobs = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
@@ -307,7 +306,7 @@ def test_evaluate_crop_does_not_depend_on_batch_companions(monkeypatch):
     # clip is used whole (slack). Batched together, neither may be trimmed
     # to fit the other: each frame count gets its own forward.
     rng = np.random.default_rng(11)
-    model = Mtrcnn(ModelConfig(n_classes=2, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4), rng)
+    model = Mtrcnn(ModelConfig(), rng)
     feats = [rng.standard_normal((t, 64)).astype(np.float32) for t in (1000, 998)]
     seen = []
     forward = Mtrcnn.forward
@@ -317,7 +316,7 @@ def test_evaluate_crop_does_not_depend_on_batch_companions(monkeypatch):
         return forward(self, x, *args, **kwargs)
 
     monkeypatch.setattr(Mtrcnn, "forward", spy)
-    res = evaluate(model, feats, np.array([0, 1]), 2, length_s=10.0)
+    res = evaluate(model, feats, np.array([0, 1]), 6, length_s=10.0)
     assert res.n == 2
     assert sorted(x.shape for x in seen) == [(1, 1, 998, 64), (1, 1, 1000, 64)]
     full = next(x for x in seen if x.shape[2] == 1000)
@@ -329,7 +328,7 @@ def test_evaluate_runs_each_clip_through_the_single_clip_forward(monkeypatch):
     # classifier GEMM rounds differently with its row count: every clip gets
     # its own forward, with the logits `predict` (what `infer` calls) gives it.
     rng = np.random.default_rng(23)
-    model = Mtrcnn(ModelConfig(n_classes=3, kernel_sizes=(3,), filters=(2, 2, 2), embed_dim=4), rng)
+    model = Mtrcnn(ModelConfig(), rng)
     feats = [rng.standard_normal((200, 64)).astype(np.float32) for _ in range(3)]  # 2 s whole
     seen = []
     forward = Mtrcnn.forward
@@ -340,7 +339,7 @@ def test_evaluate_runs_each_clip_through_the_single_clip_forward(monkeypatch):
         return out
 
     monkeypatch.setattr(Mtrcnn, "forward", spy)
-    res = evaluate(model, feats, np.array([0, 1, 2]), 3, length_s=2.0)
+    res = evaluate(model, feats, np.array([0, 1, 2]), 6, length_s=2.0)
     assert res.n == 3
     assert [shape for shape, _ in seen] == [(1, 1, 200, 64)] * 3
     evaluated = [logits.tobytes() for _, logits in seen]

@@ -7,9 +7,7 @@ Runs synth, train, eval, sweep and infer as `python -m touch_audition.cli`
 subprocesses in a temporary directory with OPENBLAS_NUM_THREADS=1, then
 prints `sha256  name` for each command's stdout (`stdout:<command>`, with
 `train`'s per-epoch `(N.Ns)` timings taken out) and for every file the
-commands wrote, with the temporary directory's path (which `train` writes
-into `runs/manifest.csv`) read as `<work>`. Two checkouts that print the same
-lines wrote the same bytes.
+commands wrote. Two checkouts that print the same lines wrote the same bytes.
 The package is imported from PYTHONPATH when it is set, else from this
 checkout's src/.
 """
@@ -58,7 +56,7 @@ def main() -> int:
         )
         for rel in written:
             with open(os.path.join(work, rel), "rb") as fh:
-                print(f"{sha256(fh.read().replace(work.encode(), b'<work>'))}  {rel}")
+                print(f"{sha256(fh.read())}  {rel}")
     return 0
 
 
