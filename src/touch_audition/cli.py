@@ -2,7 +2,8 @@
 
 Subcommands: synth, featurize, train, eval, sweep, analyze, infer.
 Usage errors exit with code 2 (argparse); domain errors (bad audio, short
-input, malformed manifests/checkpoints) print one line to stderr and exit 1.
+input, malformed manifests/checkpoints) and file errors (an output path that
+cannot be written) print one line to stderr and exit 1.
 Lengths in seconds (--length, --lengths, --crop-s, --seconds) and --lr must
 be positive and finite, counts (--epochs, --batch-size, --runs, --per-class) at
 least 1, seeds and --splits counts non-negative integers; anything else is a
@@ -111,7 +112,7 @@ def _load_eval_set(args: argparse.Namespace):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, classes, feats, labels = _load_eval_set(args)
-    res = evaluate(model, feats, labels, len(classes), length_s=args.length)
+    res = evaluate(model, feats, labels, length_s=args.length)
     shown = "full clips" if args.length is None else f"{args.length:g} s center crops"
     print(f"{model.config.task}: accuracy {res.accuracy * 100:.2f} % on {res.n} clips ({shown})")
     recalls = res.confusion.diagonal() / np.maximum(res.confusion.sum(axis=1), 1)
@@ -124,8 +125,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    model, classes, feats, labels = _load_eval_set(args)
-    results = length_sweep(model, feats, labels, len(classes), lengths_s=args.lengths)
+    model, _, feats, labels = _load_eval_set(args)
+    results = length_sweep(model, feats, labels, lengths_s=args.lengths)
     print(f"{model.config.task}: accuracy by evaluation length ({len(feats)} clips)")
     for length, acc in results:
         shown = "n/a (below minimum length)" if acc is None else f"{acc * 100:6.2f} %"
@@ -278,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TouchAuditionError as e:
+    except (TouchAuditionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,8 @@ def named_state(layer: Layer, prefix: str = "") -> Iterator[tuple[str, Tensor | 
     """Every parameter (a Tensor attribute) and buffer (an ndarray attribute)
     under `layer`, named by its dotted attribute path, in the order the
     attributes were set. Nested layers are walked; anything else (lists,
-    configs, numbers) is skipped. Checkpoints store every parameter in this
-    order, then every buffer in this order.
+    configs, numbers) is skipped. `Mtrcnn.state_arrays` lists every
+    parameter in this order, then every buffer: the checkpoint's entries.
     """
     for name, value in vars(layer).items():
         if isinstance(value, (Tensor, np.ndarray)):

@@ -9,7 +9,6 @@ dropped out, and classified by a linear head.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import ClassVar
@@ -150,41 +149,50 @@ class Mtrcnn(Layer):
     def num_params(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
 
+    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every parameter's array, then every buffer, each in `named_state`
+        order: the checkpoint's entries, in file order. The arrays are the
+        model's own, so writing into them sets the model's state."""
+        state = list(named_state(self))
+        return ([(name, v.data) for name, v in state if isinstance(v, Tensor)]
+                + [(name, v) for name, v in state if isinstance(v, np.ndarray)])
+
+
+def _entry_header(name: str, arr: np.ndarray) -> bytes:
+    """A checkpoint entry's header: u16 name length, UTF-8 name, u8 ndim, u32 dims."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape)
+
 
 def save_checkpoint(path: str, model: Mtrcnn) -> None:
     """Serialize config + parameters + buffers.
 
     Layout: magic "MTRC", u32 version, u32 blob length, config blob (UTF-8
-    key=value lines), u32 tensor count, then per tensor: u16 name length,
-    name bytes, u8 ndim, u32 dims..., float32 little-endian data.
+    key=value lines), u32 entry count, then one entry per `state_arrays()`
+    item, in its order: `_entry_header(name, arr)`, then the array as
+    float32 little-endian data.
     """
     blob = model.config.to_blob()
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, p in model.parameters().items():
-        entries.append((name, p.data))
-    for name, b in model.buffers().items():
-        entries.append((name, b))
+    entries = model.state_arrays()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            nb = name.encode("utf-8")
-            a = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", a.ndim))
-            fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            fh.write(a.tobytes())
+            fh.write(_entry_header(name, arr))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> Mtrcnn:
-    """Rebuild a model from checkpoint bytes, validating names, shapes and values.
+    """Rebuild a model from checkpoint bytes, read against the model that
+    writes them: the config blob names the model, each entry's header must
+    equal `_entry_header` of that model's `state_arrays()` item in the same
+    place, and its data is copied into that array.
 
-    Any malformed file (truncated, trailing bytes, bad config, unknown or
-    missing tensors, non-finite values, a feature std <= 0 or a negative
-    running variance) raises CheckpointFormatError.
+    Any malformed file (truncated, trailing bytes, bad config, a missing,
+    extra, renamed, reshaped or moved entry, non-finite values, a feature
+    std <= 0 or a negative running variance) raises CheckpointFormatError.
     """
     try:
         with open(path, "rb") as fh:
@@ -193,7 +201,6 @@ def load_checkpoint(path: str) -> Mtrcnn:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {data[:4]!r}")
-    loaded: dict[str, np.ndarray] = {}
     try:
         version, blob_len = struct.unpack_from("<II", data, 4)
         if version != CHECKPOINT_VERSION:
@@ -203,51 +210,33 @@ def load_checkpoint(path: str) -> Mtrcnn:
         off += blob_len
         (count,) = struct.unpack_from("<I", data, off)
         off += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + name_len].decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", data, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, off)
-            off += 4 * ndim
-            size = math.prod(shape)
-            if 4 * size > len(data) - off:
-                raise CheckpointFormatError(f"{path}: tensor {name!r} {shape} runs past the end of the file")
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape)
-            off += 4 * size
-            loaded[name] = arr.copy()
+        model = Mtrcnn(config, rng=np.random.default_rng(0))
+        entries = model.state_arrays()
+        if count != len(entries):
+            raise CheckpointFormatError(
+                f"{path}: {count} entries, the {config.task} model has {len(entries)}")
+        for name, arr in entries:
+            header = _entry_header(name, arr)
+            if data[off : off + len(header)] != header:
+                raise CheckpointFormatError(f"{path}: entry at byte {off} is not {name} {arr.shape}")
+            off += len(header)
+            arr[...] = np.frombuffer(data, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape)
+            off += arr.nbytes
     except (struct.error, ValueError) as e:
         raise CheckpointFormatError(f"{path}: truncated or corrupt checkpoint ({e})") from e
     if off != len(data):
         raise CheckpointFormatError(f"{path}: {len(data) - off} trailing bytes after the last tensor")
-    nonfinite = sorted(name for name, arr in loaded.items() if not np.all(np.isfinite(arr)))
+    nonfinite = sorted(name for name, arr in entries if not np.all(np.isfinite(arr)))
     if nonfinite:
         raise CheckpointFormatError(f"{path}: non-finite values in {nonfinite}")
     # Either would make every prediction NaN. Training floors the feature std
     # at 1e-6 and blends non-negative batch variances into the running ones;
     # a running variance can still underflow to 0, which `_BN_EPS` keeps usable.
     unusable = sorted(
-        name for name, arr in loaded.items()
+        name for name, arr in entries
         if (name == "feature_std" and np.any(arr <= 0))
         or (name.endswith(".running_var") and np.any(arr < 0))
     )
     if unusable:
         raise CheckpointFormatError(f"{path}: feature std <= 0 or running variance < 0 in {unusable}")
-    model = Mtrcnn(config, rng=np.random.default_rng(0))
-    params = model.parameters()
-    buffers = model.buffers()
-    expected = set(params) | set(buffers)
-    if set(loaded) != expected:
-        missing = sorted(expected - set(loaded))
-        extra = sorted(set(loaded) - expected)
-        raise CheckpointFormatError(f"{path}: tensor name mismatch (missing {missing}, extra {extra})")
-    for name, arr in loaded.items():
-        target = params[name].data if name in params else buffers[name]
-        if target.shape != arr.shape:
-            raise CheckpointFormatError(
-                f"{path}: shape mismatch for {name}: checkpoint {arr.shape}, model {target.shape}"
-            )
-        target[...] = arr
     return model

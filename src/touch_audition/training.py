@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsp
-from .autograd import Tensor, cross_entropy
+from .autograd import cross_entropy
 from .data import (
     TASK_CLASSES,
     DEFAULT_SPLITS,
@@ -36,7 +36,6 @@ from .data import (
     write_manifest,
 )
 from .errors import AudioFormatError, InputTooShortError, ManifestError, TrainingDivergedError
-from .layers import named_state
 from .model import ModelConfig, Mtrcnn, save_checkpoint
 from .optim import Adam
 from .stats import shapiro_wilk
@@ -143,7 +142,6 @@ def evaluate(
     model: Mtrcnn,
     features: list[np.ndarray],
     labels: np.ndarray,
-    n_classes: int,
     length_s: float | None = None,
 ) -> EvalResult:
     """Accuracy and confusion at a fixed length (center crop) or full clips.
@@ -159,7 +157,7 @@ def evaluate(
         shown = "full clips" if length_s is None else f"{length_s:g} s crops"
         raise InputTooShortError(
             f"{shown} give the model fewer than the {model.min_frames} frames it needs")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    confusion = np.zeros((model.config.n_classes,) * 2, dtype=np.int64)
     for clip, label in zip(clips, labels):
         pred, _ = model.predict(model.normalize(clip[None, None]))
         confusion[label, pred[0]] += 1
@@ -206,8 +204,7 @@ def train_run(
 
     opt = Adam(list(model.parameters().values()), lr=settings.lr)
     # Every parameter and buffer array; Adam and batch norm update them in place.
-    named = {name: v.data if isinstance(v, Tensor) else v for name, v in named_state(model)}
-    state = list(named.values())
+    state = model.state_arrays()
     crop_s = settings.crop()
     history: list[dict] = []
     best_state = []
@@ -230,7 +227,7 @@ def train_run(
             # A finite loss does not make a finite model: a batch variance
             # past the float32 range leaves a block outputting beta alone
             # and its running variance inf.
-            bad = [name for name, a in named.items() if not np.isfinite(a).all()]
+            bad = [name for name, a in state if not np.isfinite(a).all()]
             if bad:
                 raise TrainingDivergedError(
                     f"non-finite training state ({', '.join(bad)}) in epoch {epoch}; "
@@ -238,7 +235,7 @@ def train_run(
                 )
             total_loss += float(loss.data) * len(idx)
             total_n += len(idx)
-        val = evaluate(model, val_features, val_labels, config.n_classes, length_s=crop_s)
+        val = evaluate(model, val_features, val_labels, length_s=crop_s)
         entry = {
             "epoch": epoch,
             "train_loss": total_loss / total_n,
@@ -247,11 +244,11 @@ def train_run(
         }
         history.append(entry)
         if _kept_epoch(history) is entry:
-            best_state = [a.copy() for a in state]
+            best_state = [a.copy() for _, a in state]
         if log:
             log(f"  epoch {epoch:3d}  loss {entry['train_loss']:.4f}  "
                 f"val_acc {entry['val_acc']:.4f}  ({entry['seconds']:.1f}s)")
-    for a, saved in zip(state, best_state):
+    for (_, a), saved in zip(state, best_state):
         a[...] = saved
     opt.zero_grad()  # the last step's gradients belong to weights no longer held
     return model, history
@@ -278,8 +275,6 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
     """Full protocol: split, featurize, train `runs` times, evaluate test."""
     rows = read_manifest(manifest_path)
     task_rows = rows_for_task(rows, settings.task)
-    if not task_rows:
-        raise ManifestError(f"manifest has no rows for task {settings.task!r}")
     if all(not r.split for r in task_rows):
         counts = settings.splits or DEFAULT_SPLITS[settings.task]
         rows = assign_splits(rows, settings.task, counts, settings.seed,
@@ -340,8 +335,7 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
                   ([h["epoch"], f"{h['train_loss']:.9e}", f"{h['val_acc']:.9e}"] for h in history))
         test = None
         if subsets["test"]:
-            test = evaluate(model, feats["test"], labels["test"], len(classes),
-                            length_s=settings.crop())
+            test = evaluate(model, feats["test"], labels["test"], length_s=settings.crop())
             save_confusion_csv(os.path.join(run_dir, "confusion.csv"), test.confusion, classes)
             save_confusion_pgm(os.path.join(run_dir, "confusion.pgm"), test.confusion)
         best = _kept_epoch(history)
@@ -370,7 +364,6 @@ def length_sweep(
     model: Mtrcnn,
     features: list[np.ndarray],
     labels: np.ndarray,
-    n_classes: int,
     lengths_s: tuple[float, ...] = LENGTH_GRID_S,
 ) -> list[tuple[float, float | None]]:
     """Accuracy per evaluation length; None where a clip's crop gives the
@@ -379,6 +372,6 @@ def length_sweep(
         clips = _model_inputs(model, features, length)
         if clips is None:
             return None
-        return evaluate(model, clips, labels, n_classes).accuracy
+        return evaluate(model, clips, labels).accuracy
 
     return [(length, accuracy(length)) for length in lengths_s]

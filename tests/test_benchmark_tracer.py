@@ -47,7 +47,7 @@ def test_benchmark_tracer_times_one_crop_per_evaluated_clip():
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        training.evaluate(net, feats, np.array([0, 1, 0]), 6, length_s=2.0)
+        training.evaluate(net, feats, np.array([0, 1, 0]), length_s=2.0)
     finally:
         tracer.uninstall()
     assert [s[0] for s in tracer.spans].count("data.crop_frames") == len(feats)

@@ -197,6 +197,23 @@ def test_missing_input_files_exit_1_with_one_line(trained, tmp_path, capsys):
         assert err.startswith("error:") and missing in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "featurize", "analyze"])
+def test_unwritable_output_exits_1_with_one_line(tiny_corpus, tmp_path, capsys, command):
+    taken = tmp_path / "taken"  # a file where a directory is to be made
+    taken.write_bytes(b"")
+    missing = str(tmp_path / "missing" / "out")  # in a directory that does not exist
+    wav = os.path.join(os.path.dirname(tiny_corpus), read_manifest(tiny_corpus)[0].path)
+    argv = {
+        "synth": ["synth", "--per-class", "1", "--seconds", "2", "--out", str(taken)],
+        "train": ["train", "--manifest", tiny_corpus, "--splits", "12,3,3", "--out", str(taken)],
+        "featurize": ["featurize", "--wav", wav, "--out", missing + ".melf"],
+        "analyze": ["analyze", "--out", missing + ".csv"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_infer_rejects_short_clip(trained, tmp_path, capsys):
     wav = str(tmp_path / "short.wav")
     dsp.save_wav(wav, np.zeros(8000, dtype=np.float32))  # 0.5 s

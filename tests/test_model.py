@@ -209,24 +209,31 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
 CHECKPOINT_ENTRIES_SHA256 = "95d7f5f6c7aefa57c8881df1091402be78918f370d33bb2598682967897b8eac"
 
 
-def test_checkpoint_entry_names_and_order_are_pinned(tmp_path):
-    path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
-    data = open(path, "rb").read()
+def _checkpoint_entries(data: bytes) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """(name, shape, start, end) of every entry of checkpoint bytes, in file
+    order, parsed field by field from the documented layout."""
     (blob_len,) = struct.unpack_from("<I", data, 8)
     off = 12 + blob_len
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
     entries = []
     for _ in range(count):
+        start = off
         (name_len,) = struct.unpack_from("<H", data, off)
         name = data[off + 2 : off + 2 + name_len].decode()
         off += 2 + name_len
         ndim = data[off]
         shape = struct.unpack_from(f"<{ndim}I", data, off + 1)
         off += 1 + 4 * ndim + 4 * int(np.prod(shape))
-        entries.append((name, shape))
+        entries.append((name, shape, start, off))
     assert off == len(data)
+    return entries
+
+
+def test_checkpoint_entry_names_and_order_are_pinned(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
+    entries = [(name, shape) for name, shape, _, _ in _checkpoint_entries(open(path, "rb").read())]
     assert len(entries) == 66
     assert entries[0] == ("branch3.conv1.weight", (16, 1, 3, 3))
     assert entries[45] == ("head.bias", (6,))
@@ -282,6 +289,38 @@ def test_checkpoint_rejects_corruption(tmp_path):
         else:
             with pytest.raises(CheckpointFormatError, match=name.replace(".", r"\.")):
                 load_checkpoint(unusable)
+
+
+def _edited_checkpoint(raw: bytes, case: str) -> bytes:
+    """A saved default model's checkpoint with one entry header edited; each
+    edit keeps every other byte readable."""
+    entries = {name: (shape, start, end) for name, shape, start, end in _checkpoint_entries(raw)}
+    _, bias_start, bias_end = entries["branch3.conv1.bias"]
+    _, gamma_start, gamma_end = entries["branch3.bn1.gamma"]
+    weight_start = entries["branch3.conv1.weight"][1]
+    dims = weight_start + 2 + len("branch3.conv1.weight") + 1
+    count = 12 + struct.unpack_from("<I", raw, 8)[0]
+    if case == "swapped":  # two (16,) entries trade places with their data
+        assert bias_end == gamma_start
+        return raw[:bias_start] + raw[gamma_start:gamma_end] + raw[bias_start:bias_end] + raw[gamma_end:]
+    if case == "renamed":  # branch3.conv1.weight -> cranch3.conv1.weight
+        return raw[: weight_start + 2] + b"c" + raw[weight_start + 3 :]
+    if case == "reshaped":  # (16, 1, 3, 3) -> (16, 3, 1, 3), the same size
+        assert struct.unpack_from("<4I", raw, dims) == (16, 1, 3, 3)
+        return raw[:dims] + struct.pack("<4I", 16, 3, 1, 3) + raw[dims + 16 :]
+    assert case == "dropped"  # the last entry, feature_std, gone and counted out
+    return raw[:count] + struct.pack("<I", len(entries) - 1) + raw[count + 4 : entries["feature_std"][1]]
+
+
+@pytest.mark.parametrize("case", ["swapped", "renamed", "reshaped", "dropped"])
+def test_checkpoint_rejects_edited_entry_headers(tmp_path, case):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, Mtrcnn(ModelConfig(), np.random.default_rng(0)))
+    edited = str(tmp_path / f"{case}.ckpt")
+    with open(edited, "wb") as fh:
+        fh.write(_edited_checkpoint(open(path, "rb").read(), case))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(edited)
 
 
 def test_config_blob_round_trip():

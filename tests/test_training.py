@@ -288,7 +288,7 @@ def test_evaluate_groups_full_clips_by_length():
     feats = [(rng.standard_normal((t, 64)) + 4 * rng.standard_normal(64)).astype(np.float32)
              for t in (997, 997, 597, 297)]
     labels = np.array([0, 1, 2, 3])
-    res = evaluate(model, feats, labels, 6, length_s=None)
+    res = evaluate(model, feats, labels, length_s=None)
     assert res.n == 4
     assert res.confusion.shape == (6, 6)
     assert res.confusion.sum() == 4
@@ -316,7 +316,7 @@ def test_evaluate_crop_does_not_depend_on_batch_companions(monkeypatch):
         return forward(self, x, *args, **kwargs)
 
     monkeypatch.setattr(Mtrcnn, "forward", spy)
-    res = evaluate(model, feats, np.array([0, 1]), 6, length_s=10.0)
+    res = evaluate(model, feats, np.array([0, 1]), length_s=10.0)
     assert res.n == 2
     assert sorted(x.shape for x in seen) == [(1, 1, 998, 64), (1, 1, 1000, 64)]
     full = next(x for x in seen if x.shape[2] == 1000)
@@ -339,7 +339,7 @@ def test_evaluate_runs_each_clip_through_the_single_clip_forward(monkeypatch):
         return out
 
     monkeypatch.setattr(Mtrcnn, "forward", spy)
-    res = evaluate(model, feats, np.array([0, 1, 2]), 6, length_s=2.0)
+    res = evaluate(model, feats, np.array([0, 1, 2]), length_s=2.0)
     assert res.n == 3
     assert [shape for shape, _ in seen] == [(1, 1, 200, 64)] * 3
     evaluated = [logits.tobytes() for _, logits in seen]
@@ -354,8 +354,8 @@ def test_evaluate_center_crop_is_deterministic():
     model = Mtrcnn(ModelConfig(), rng)
     feats = [rng.standard_normal((400, 64)).astype(np.float32) for _ in range(4)]
     labels = np.array([0, 1, 2, 3])
-    a = evaluate(model, feats, labels, 6, length_s=2.0)
-    b = evaluate(model, feats, labels, 6, length_s=2.0)
+    a = evaluate(model, feats, labels, length_s=2.0)
+    b = evaluate(model, feats, labels, length_s=2.0)
     assert np.array_equal(a.confusion, b.confusion)
 
 
@@ -368,7 +368,7 @@ def test_length_sweep_marks_short_lengths():
     feats = [rng.standard_normal((400, 64)).astype(np.float32) for _ in range(6)]
     labels = np.arange(6)
 
-    results = length_sweep(model, feats, labels, 6, lengths_s=(1.0, 1.1, 2.0))
+    results = length_sweep(model, feats, labels, lengths_s=(1.0, 1.1, 2.0))
     assert results[0] == (1.0, None)  # 100 frames < 110-frame minimum
     assert results[1][1] is not None
     assert results[2][1] is not None
@@ -379,12 +379,12 @@ def test_length_sweep_marks_a_slack_clip_below_the_minimum():
     # whole, so the crop gives the model 107 frames: that length reads n/a.
     model = Mtrcnn(ModelConfig(), np.random.default_rng(7))
     clip, label = [np.zeros((107, 64), dtype=np.float32)], np.array([0])
-    assert length_sweep(model, clip, label, 6, lengths_s=(1.1,)) == [(1.1, None)]
+    assert length_sweep(model, clip, label, lengths_s=(1.1,)) == [(1.1, None)]
     with pytest.raises(InputTooShortError, match="fewer than the 110 frames"):
-        evaluate(model, clip, label, 6, length_s=1.1)
+        evaluate(model, clip, label, length_s=1.1)
     # A clip too short for the length still raises.
     with pytest.raises(InputTooShortError, match="needs at least 107"):
-        length_sweep(model, [np.zeros((106, 64), dtype=np.float32)], label, 6, lengths_s=(1.1,))
+        length_sweep(model, [np.zeros((106, 64), dtype=np.float32)], label, lengths_s=(1.1,))
 
 
 _SWEEP_MODEL = Mtrcnn(ModelConfig(), np.random.default_rng(9))
@@ -403,7 +403,7 @@ def test_length_sweep_never_raises_where_the_crop_is_defined(n, offsets):
     # some crop gives the model fewer frames than it needs.
     length = n / FRAMES_PER_SECOND
     feats = [np.zeros((n + k, 64), dtype=np.float32) for k in offsets]
-    [(got, acc)] = length_sweep(_SWEEP_MODEL, feats, np.zeros(len(feats), dtype=np.int64), 6,
+    [(got, acc)] = length_sweep(_SWEEP_MODEL, feats, np.zeros(len(feats), dtype=np.int64),
                                 lengths_s=(length,))
     assert got == length
     shortest = min(n, n + min(offsets))

@@ -3,8 +3,9 @@
     python tools/golden_run.py
     PYTHONPATH=<other checkout>/src python tools/golden_run.py
 
-Runs synth, train, eval, sweep and infer as `python -m touch_audition.cli`
-subprocesses in a temporary directory with OPENBLAS_NUM_THREADS=1, then
+Runs every subcommand (synth, train, eval, sweep, infer, featurize, eval on
+the .melf manifest, analyze) as `python -m touch_audition.cli` subprocesses
+in a temporary directory with OPENBLAS_NUM_THREADS=1, then
 prints `sha256  name` for each command's stdout (`stdout:<command>`, with
 `train`'s per-epoch `(N.Ns)` timings taken out) and for every file the
 commands wrote. Two checkouts that print the same lines wrote the same bytes.
@@ -31,6 +32,10 @@ COMMANDS = (
     ("sweep", f"sweep --checkpoint {CKPT} --manifest runs/manifest.csv --lengths 1,2,3,4 "
               "--out sweep.csv"),
     ("infer", f"infer --checkpoint {CKPT} --wav corpus/tap_003.wav"),
+    ("featurize", "featurize --manifest runs/manifest.csv --out feats"),
+    ("eval_melf", f"eval --checkpoint {CKPT} --manifest feats/manifest.csv --length full "
+                  "--out eval_melf.csv"),
+    ("analyze", "analyze --out analyze.csv"),
 )
 TIMING = re.compile(rb" *\(\d+\.\ds\)")
 
