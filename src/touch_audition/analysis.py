@@ -78,24 +78,12 @@ def receptive_field(specs: list[LayerSpec], convention: str = "reference") -> li
     return out
 
 
-def min_frames_for_specs(specs: list[LayerSpec]) -> int:
-    """Smallest input extent that leaves every layer a legal input.
-
-    Walks the chain backwards: a conv (stride s, effective kernel k) needs
-    s*(n_out - 1) + k inputs; floor-pooling likewise, with n_out >= 1 so no
-    pooling layer ever sees a single-element axis.
-    """
-    n = 1
-    for spec in reversed(specs):
-        k_eff = effective_kernel(spec.kernel, spec.dilation)
-        n = spec.stride * (n - 1) + k_eff
-    return n
-
-
 def min_input_frames(config: ModelConfig) -> int:
-    """Minimum input frame count for the full model (binding branch wins)."""
+    """Minimum input frame count for the full model: the largest exact
+    receptive field of a branch's pooled time chain, the fewest frames that
+    leave its last pool two frames (binding branch wins)."""
     return max(
-        min_frames_for_specs(branch_time_specs(config, k)) for k in config.kernel_sizes
+        receptive_field(branch_time_specs(config, k), "exact")[-1] for k in config.kernel_sizes
     )
 
 
@@ -121,23 +109,15 @@ def count_params(config: ModelConfig) -> dict[str, int]:
 
 
 def _branch_shape_walk(config: ModelConfig, kernel_size: int, n_frames: int):
-    """Yield (c_in, c_out, t_out, f_out) per conv block, applying pooling."""
+    """Yield (c_in, c_out, t_out, f_out) per conv block, applying pooling.
+    From min_input_frames frames up, every pool gets at least 2x2."""
     t, f = n_frames, N_MELS
     chans = (1,) + tuple(config.filters)
     for i, (rt, rf) in enumerate(config.dilations):
         kt_eff = effective_kernel(kernel_size, rt)
         kf_eff = effective_kernel(kernel_size, rf)
         t_out, f_out = t - kt_eff + 1, f - kf_eff + 1
-        if t_out < 1 or f_out < 1:
-            raise InputTooShortError(
-                f"branch k={kernel_size}: conv {i + 1} input {t}x{f} smaller than "
-                f"effective kernel {kt_eff}x{kf_eff}"
-            )
         yield chans[i], chans[i + 1], t_out, f_out
-        if t_out < 2 or f_out < 2:
-            raise InputTooShortError(
-                f"branch k={kernel_size}: pool {i + 1} needs a 2x2 input, got {t_out}x{f_out}"
-            )
         t, f = t_out // 2, f_out // 2
 
 
@@ -150,6 +130,9 @@ def count_flops(config: ModelConfig, n_frames: int, convention: str = "mac") -> 
     """
     if convention not in ("mac", "two_mac"):
         raise ValueError(f"unknown FLOPs convention {convention!r}")
+    min_frames = min_input_frames(config)
+    if n_frames < min_frames:
+        raise InputTooShortError(f"{n_frames} frames is below the model's minimum of {min_frames}")
     scale = 1 if convention == "mac" else 2
     out: dict[str, int] = {}
     for k in config.kernel_sizes:
@@ -262,8 +245,8 @@ def build_report(config: ModelConfig) -> ResourceReport:
         frames = frames_for_seconds(length)
         if frames < min_frames:
             continue
-        mac = count_flops(config, frames, convention="mac")["total"]
-        two = count_flops(config, frames, convention="two_mac")["total"]
+        mac = count_flops(config, frames)["total"]
+        two = 2 * mac
         tags = [
             name
             for name, val in (("mac", mac), ("two_mac", two))
@@ -271,7 +254,7 @@ def build_report(config: ModelConfig) -> ResourceReport:
         ]
         grid.append(FlopsCell(length, frames, mac, two, ",".join(tags)))
     full_frames = frames_for_seconds(10.0)
-    cost_g = count_flops(config, full_frames, convention="two_mac")["total"] / 1e9
+    cost_g = 2 * count_flops(config, full_frames)["total"] / 1e9
     return ResourceReport(
         task=config.task,
         n_classes=config.n_classes,

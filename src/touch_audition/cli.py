@@ -129,7 +129,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results = length_sweep(model, feats, labels, lengths_s=args.lengths)
     print(f"{model.config.task}: accuracy by evaluation length ({len(feats)} clips)")
     for length, acc in results:
-        shown = "n/a (below minimum length)" if acc is None else f"{acc * 100:6.2f} %"
+        shown = "n/a (clips too short)" if acc is None else f"{acc * 100:6.2f} %"
         print(f"  {length:4.1f} s  {shown}")
     if args.out:
         write_csv(args.out, ["length_s", "accuracy"],

@@ -31,7 +31,6 @@ from .data import (
     read_manifest,
     resolve_path,
     rows_for_task,
-    target_frames,
     write_csv,
     write_manifest,
 )
@@ -86,15 +85,6 @@ class TrainingSummary:
     task: str
     runs: list[RunResult] = field(default_factory=list)
 
-    def test_accuracies(self) -> list[float]:
-        return [r.test.accuracy for r in self.runs if r.test is not None]
-
-    def mean_std(self) -> tuple[float, float]:
-        accs = np.array(self.test_accuracies())
-        if accs.size == 0:
-            return float("nan"), float("nan")
-        return float(accs.mean()), float(accs.std(ddof=1)) if accs.size > 1 else 0.0
-
 
 def featurize_rows(manifest_path: str, rows: list[ManifestRow]) -> list[np.ndarray]:
     """Log-mel features per row; .melf files are loaded directly, WAVs computed."""
@@ -124,20 +114,6 @@ def _stack_crops(
     return np.stack([c[:t_min] for c in crops])[:, None, :, :]
 
 
-def _model_inputs(
-    model: Mtrcnn, features: list[np.ndarray], length_s: float | None
-) -> list[np.ndarray] | None:
-    """The frames each clip gives the model: the whole clip (`length_s` is
-    None) or its centre crop, which may be a clip used whole within
-    FULL_CLIP_SLACK frames of the length. None when any of them is shorter
-    than the model's minimum; a length below it is that without cropping.
-    A clip too short for the length raises (`crop_frames`)."""
-    if length_s is not None and target_frames(length_s) < model.min_frames:
-        return None
-    clips = [f if length_s is None else crop_frames(f, length_s) for f in features]
-    return clips if all(c.shape[0] >= model.min_frames for c in clips) else None
-
-
 def evaluate(
     model: Mtrcnn,
     features: list[np.ndarray],
@@ -146,19 +122,16 @@ def evaluate(
 ) -> EvalResult:
     """Accuracy and confusion at a fixed length (center crop) or full clips.
 
-    Raises InputTooShortError when a clip is too short for the length or
-    gives the model fewer frames than it needs. Each clip gets its own
-    forward, the `predict` call `infer` makes, so a clip scores the bits
-    `infer` gives it: a batched forward rounds the classifier's GEMM
-    differently with the number of rows.
+    Raises InputTooShortError when a clip is too short for the length
+    (`crop_frames`) or gives the model fewer frames than it needs
+    (`Mtrcnn.forward`). Each clip gets its own forward, the `predict` call
+    `infer` makes, so a clip scores the bits `infer` gives it: a batched
+    forward rounds the classifier's GEMM differently with the number of rows.
     """
-    clips = _model_inputs(model, features, length_s)
-    if clips is None:
-        shown = "full clips" if length_s is None else f"{length_s:g} s crops"
-        raise InputTooShortError(
-            f"{shown} give the model fewer than the {model.min_frames} frames it needs")
     confusion = np.zeros((model.config.n_classes,) * 2, dtype=np.int64)
-    for clip, label in zip(clips, labels):
+    for clip, label in zip(features, labels):
+        if length_s is not None:
+            clip = crop_frames(clip, length_s)
         pred, _ = model.predict(model.normalize(clip[None, None]))
         confusion[label, pred[0]] += 1
     n = int(confusion.sum())
@@ -344,9 +317,9 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
             tested = f", test {test.accuracy:.4f}" if test is not None else ""
             log(f"  run {run}: kept epoch {best['epoch']} (best val {best['val_acc']:.4f}){tested}")
 
-    accs = summary.test_accuracies()
+    accs = [r.test.accuracy for r in summary.runs if r.test is not None]
     if accs:
-        mean, std = summary.mean_std()
+        mean, std = float(np.mean(accs)), float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
         line = f"test accuracy over {len(accs)} run(s): {mean * 100:.2f} +/- {std * 100:.2f} %"
         if 3 <= len(accs) <= 50 and np.ptp(accs) > 0:
             sw = shapiro_wilk(accs)
@@ -366,12 +339,13 @@ def length_sweep(
     labels: np.ndarray,
     lengths_s: tuple[float, ...] = LENGTH_GRID_S,
 ) -> list[tuple[float, float | None]]:
-    """Accuracy per evaluation length; None where a clip's crop gives the
-    model fewer frames than it needs."""
+    """Accuracy per evaluation length, one `evaluate` each; None where some
+    clip is too short for the length or its crop gives the model fewer
+    frames than it needs."""
     def accuracy(length: float) -> float | None:
-        clips = _model_inputs(model, features, length)
-        if clips is None:
+        try:
+            return evaluate(model, features, labels, length).accuracy
+        except InputTooShortError:
             return None
-        return evaluate(model, clips, labels).accuracy
 
     return [(length, accuracy(length)) for length in lengths_s]

@@ -15,7 +15,6 @@ from touch_audition.analysis import (
     count_flops,
     count_params,
     frames_for_seconds,
-    min_frames_for_specs,
     min_input_frames,
     receptive_field,
 )
@@ -49,8 +48,7 @@ def test_exact_convention_matches_impulse_truth():
             if rng.random() < 0.5:
                 chain.append(("pool",))
                 specs.append(LayerSpec("pool", 2, 2, 1))
-        t_needed = min_frames_for_specs(specs)
-        expected = receptive_field(specs, "exact")[-1]
+        t_needed = expected = receptive_field(specs, "exact")[-1]
         got = dependency_footprint(chain, t_in=t_needed, f_in=16)
         assert got == expected, f"chain {chain}: footprint {got} != exact {expected}"
 
@@ -63,7 +61,7 @@ def test_receptive_field_rejects_unknown_convention():
 def test_min_input_frames_per_branch():
     cfg = ModelConfig()
     per_branch = {
-        k: min_frames_for_specs(branch_time_specs(cfg, k)) for k in (3, 5, 7)
+        k: receptive_field(branch_time_specs(cfg, k), "exact")[-1] for k in (3, 5, 7)
     }
     assert per_branch == {3: 42, 5: 76, 7: 110}
     assert min_input_frames(cfg) == 110

@@ -151,7 +151,7 @@ def test_sweep_marks_below_minimum(trained, tmp_path, capsys):
                "--lengths", "1,2", "--out", out])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert any("1.0 s" in ln and "n/a (below minimum length)" in ln for ln in lines)
+    assert any("1.0 s" in ln and "n/a (clips too short)" in ln for ln in lines)
     assert any("2.0 s" in ln and "%" in ln for ln in lines)
     with open(out) as fh:
         rows = fh.read().splitlines()
@@ -175,6 +175,30 @@ def test_sweep_default_lengths_are_the_analyzer_grid(trained, tmp_path, capsys):
     # which the sweep reports as n/a (an empty accuracy).
     assert [f"{float(length):g}s" for length, acc in swept if acc] == reported
     assert len(reported) == 9
+
+
+def test_sweep_reads_na_at_lengths_longer_than_the_clips(tmp_path, capsys):
+    # 2 s clips at the default 1..10 s lengths: the lengths past the clips
+    # read n/a instead of ending the sweep with an error.
+    corpus, runs = str(tmp_path / "corpus"), str(tmp_path / "runs")
+    assert main(["synth", "--per-class", "2", "--seed", "1", "--seconds", "2",
+                 "--out", corpus]) == 0
+    assert main(["train", "--manifest", os.path.join(corpus, "manifest.csv"), "--out", runs,
+                 "--epochs", "1", "--batch-size", "8", "--crop-s", "1.2",
+                 "--splits", "8,2,2"]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--checkpoint", os.path.join(runs, "run0", "model.ckpt"),
+                 "--manifest", os.path.join(runs, "manifest.csv"), "--split", "",
+                 "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any("2.0 s" in ln and "%" in ln for ln in lines)
+    for s in range(3, 11):
+        assert any(f"{s:4.1f} s  n/a (clips too short)" in ln for ln in lines), s
+    with open(out, newline="") as fh:
+        swept = list(csv.reader(fh))[1:]
+    assert [length for length, acc in swept if acc] == ["2.0"]
+    assert len(swept) == 10
 
 
 def test_infer_labels_a_clip(trained, capsys):

@@ -9,7 +9,8 @@ in a temporary directory with OPENBLAS_NUM_THREADS=1, then
 prints `sha256  name` for each command's stdout (`stdout:<command>`, with
 `train`'s per-epoch `(N.Ns)` timings taken out) and for every file the
 commands wrote. Two checkouts that print the same lines wrote the same bytes.
-The package is imported from PYTHONPATH when it is set, else from this
+The package is imported from PYTHONPATH when it is set (a relative entry
+is taken from the directory the tool is started in), else from this
 checkout's src/.
 """
 
@@ -45,7 +46,9 @@ def sha256(data: bytes) -> str:
 
 
 def main() -> int:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.environ.get("PYTHONPATH") or SRC)
+    path = os.environ.get("PYTHONPATH")
+    path = os.pathsep.join(map(os.path.abspath, path.split(os.pathsep))) if path else SRC
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
     with tempfile.TemporaryDirectory(prefix="golden-run-") as work:
         for name, args in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "touch_audition.cli", *args.split()],
