@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Grad mode is per thread (each thread starts in a fresh context), so a
 # `no_grad` block in one worker cannot switch graph building off in another.
@@ -64,19 +65,23 @@ _TILE_FRAMES = 32
 _TAIL_TILE_BYTES = 128 * 1024
 
 
-def _lower_freq_taps(x: np.ndarray, kf: int, rf: int, out: np.ndarray) -> np.ndarray:
-    """Lower a channels-first span of frames x (c, T, f) into out[:, :, :T].
+def _tap_windows(x: np.ndarray, kl: int, kf: int, dilation: tuple[int, int]) -> np.ndarray:
+    """The (n, kl, kf, c, t - (kl-1)*rt, fo) view of x (n, c, t, f) whose
+    element [s, i, j, ch, u, v] is x[s, ch, u + i*rt, v + j*rf]: the first kl
+    time taps and all kf frequency taps of every output position."""
+    rt, rf = dilation
+    win = sliding_window_view(x, ((kl - 1) * rt + 1, (kf - 1) * rf + 1), axis=(2, 3))
+    return win[..., ::rt, ::rf].transpose(0, 4, 5, 1, 2, 3)
 
-    out is (kf, c, T', fo), T' >= T, fo = f - (kf-1)*rf, and becomes
-    out[j, ch, u, v] = x[ch, u, v + j*rf]: kf copies of contiguous frequency
-    runs. Returns Y^T (kf*c, T'*fo), rows in the weights' (kf, c) order;
-    time is the outer column axis, so the columns of one time tap, shifted
-    i*rt frames, are the contiguous column block from i*rt*fo.
-    """
-    fo = out.shape[3]
-    for j in range(kf):
-        out[j, :, : x.shape[1]] = x[:, :, j * rf : j * rf + fo]
-    return out.reshape(kf * x.shape[0], -1)
+
+def _lower(win: np.ndarray, u0: int, u1: int, y: np.ndarray) -> None:
+    """Copy frames u0:u1 of one sample's windows win (kl, kf, c, tl, fo) into
+    the first kl*kf*c rows of Y^T, y (rows, T'*fo) with T' >= u1 - u0. Rows
+    follow the weights' (kt, kf, c) order and time is the outer column axis,
+    so the columns of the taps shifted i*rt frames on are the contiguous
+    column block from i*rt*fo. Rows past kl*kf*c are kept."""
+    kl, kf, c, _, fo = win.shape
+    np.copyto(y[: kl * kf * c].reshape(kl, kf, c, -1, fo)[:, :, :, : u1 - u0], win[:, :, :, u0:u1])
 
 
 def _channel(v: np.ndarray) -> np.ndarray:
@@ -362,21 +367,29 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Both passes work one sample at a time on one channels-first lowering
-        of its frequency taps (`_lower_freq_taps`), read straight from the
-        (c, t, f) input: Y^T (kf*c, t*fo), kt times smaller than a full
-        im2col, where time tap i is the column block from i*rt*fo. Forward
-        lowers one tile of `_TILE_FRAMES` output frames at a time (Anderson
-        et al., arXiv:1709.03395), sums one GEMM per time tap,
-        W_i @ Y^T[:, tap i], into a tile-sized (o, rows) accumulator, adds
-        the bias and copies the tile into the output as it stands. Backward
-        lowers the sample's whole Y^T into one reused buffer instead of
-        keeping it in the graph, accumulates gW_i.T += Y^T[:, tap i] @ g[s].T,
-        builds dY^T[:, tap i] += W_i.T @ g[s] and folds dY^T onto the
-        sample's input gradient with kf adds of contiguous (c, t, fo) blocks.
-        Scratch does not grow with the batch: forward holds one tile's
-        lowering and two tile-sized GEMM results, backward one lowering,
-        dY^T and one GEMM result.
+        Both passes work one sample at a time on a channels-first lowering
+        Y^T of its taps, copied from a window view of the (c, t, f) input
+        (`_tap_windows`, `_lower`). With one input channel it holds all
+        kt*kf taps (the im2col of Chellapilla, Puri & Simard, 2006) plus a
+        row of ones, and the weights W_aug (kt*kf + 1, o) end in the bias.
+        Otherwise it holds the kf frequency taps, K = kf*c, kt times smaller
+        than a full im2col, and time tap i is the column block from i*rt*fo.
+        Forward lowers one tile of `_TILE_FRAMES` output frames at a time
+        (Anderson et al., arXiv:1709.03395). An all-tap tile is one GEMM,
+        W_aug^T @ Y^T, written by BLAS straight into the output. Otherwise
+        the tile sums one GEMM per time tap, W_i @ Y^T[:, tap i], into a
+        tile-sized (o, rows) accumulator, adds the bias and copies the tile
+        into the output. Backward lowers again instead of keeping Y^T in the
+        graph and sums the weight gradient the same way,
+        gW^T += Y^T[:, tap i] @ g.T: one GEMM per all-tap tile, whose ones
+        row makes the last row the bias gradient, or per time tap over the
+        sample's whole kf-only lowering. The input gradient takes
+        dY^T[:, tap i] += W_i.T @ g[s] per time tap and folds dY^T onto the
+        sample's input gradient with kf adds of contiguous (c, t, fo)
+        blocks. Scratch does not grow with the batch: forward holds one
+        tile's lowering (and, with kt GEMMs a tile, two tile-sized GEMM
+        results), backward one all-tap tile or one sample's kf-only
+        lowering, dY^T and one GEMM result.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -392,77 +405,104 @@ class Tensor:
         to = t - kt_eff + 1
         fo = f - kf_eff + 1
         rows = to * fo
-        k = kf * c
         rtype = np.result_type(self.data.dtype, weight.data.dtype)
-        # Per-tap transposed weights W_i.T, (kt, kf*c, o), rows in Y^T's
-        # (kf, c) row order. The forward hands W_i to BLAS as the transposed
-        # view wt[i].T: with a contiguous W_i, OpenBLAS sends small tiles to
-        # a small-matrix kernel that sums in another order, and an output's
-        # bits would depend on the size of the tile it falls in.
-        wt = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0), dtype=rtype).reshape(kt, k, o)
-        taps = [i * rt * fo for i in range(kt)]
+        # Time taps per lowering: all kt with one input channel, so a tile
+        # is one GEMM of K = kt*kf + 1 (a last row of ones); else one, and a
+        # tile sums kt GEMMs of K = kf*c over column blocks i*rt*fo apart,
+        # which reads `halo` input frames past the tile.
+        kl = kt if c == 1 else 1
+        groups = kt // kl
+        k = kl * kf * c
+        kb = k + 1 if groups == 1 else k
+        halo = (kt - kl) * rt
+        # W^T with the bias as its last row, (kt*kf*c + 1, o), rows in Y^T's
+        # (kt, kf, c) order; wg[i] is the rows of GEMM i. The forward hands
+        # them to BLAS as the transposed view wg[i].T: with a contiguous
+        # operand, OpenBLAS sends small tiles to a small-matrix kernel that
+        # sums in another order, and an output's bits would depend on the
+        # size of the tile it falls in.
+        w_aug = np.empty((kt * kf * c + 1, o), dtype=rtype)
+        w_aug[:-1] = weight.data.transpose(2, 3, 1, 0).reshape(-1, o)
+        w_aug[-1] = bias.data
+        wg = w_aug[: groups * kb].reshape(groups, kb, o)
+        taps = [i * rt * fo for i in range(groups)]
+        win = _tap_windows(self.data, kl, kf, dilation)
 
         out_data = np.empty((n, o, to, fo), dtype=rtype)
         out3 = out_data.reshape(n, o, rows)
         tile = min(_TILE_FRAMES, to)
-        y_tile = np.empty((kf, c, tile + kt_eff - 1, fo), dtype=rtype)
-        acc = np.empty((o, tile * fo), dtype=rtype)
-        tmp = np.empty_like(acc)
+        y_tile = np.empty((kb, (tile + halo) * fo), dtype=rtype)
+        y_tile[k:] = 1
+        if groups > 1:
+            acc = np.empty((o, tile * fo), dtype=rtype)
+            tmp = np.empty_like(acc)
         for s in range(n):
             for u0 in range(0, to, tile):
                 u1 = min(u0 + tile, to)
                 r = (u1 - u0) * fo
-                y = _lower_freq_taps(self.data[s, :, u0 : u1 + kt_eff - 1], kf, rf, y_tile)
+                _lower(win[s], u0, u1 + halo, y_tile)
+                out_tile = out3[s, :, u0 * fo : u1 * fo]
+                if groups == 1:
+                    np.matmul(wg[0].T, y_tile[:, :r], out=out_tile)
+                    continue
                 # Summed in contiguous buffers: numpy's in-place adds run
                 # several times slower on a strided (o, r) view of the output.
                 a, b = acc[:, :r], tmp[:, :r]
-                np.matmul(wt[0].T, y[:, :r], out=a)
-                for i in range(1, kt):
-                    np.matmul(wt[i].T, y[:, taps[i] : taps[i] + r], out=b)
+                np.matmul(wg[0].T, y_tile[:, :r], out=a)
+                for i in range(1, groups):
+                    np.matmul(wg[i].T, y_tile[:, taps[i] : taps[i] + r], out=b)
                     a += b
                 a += bias.data[:, None]
-                out3[s, :, u0 * fo : u1 * fo] = a
+                out_tile[...] = a
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
-                bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
-                need_w = weight.requires_grad
-                need_x = self.requires_grad
-                if not (need_w or need_x):
-                    return
                 g3 = out.grad.reshape(n, o, rows)
-                if need_w:
-                    gwt = np.zeros((kt, k, o), dtype=rtype)
-                    tmp_w = np.empty((k, o), dtype=rtype)
-                    y_full = np.empty((kf, c, t, fo), dtype=rtype)
-                if need_x:
+                if groups > 1:
+                    bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+                if weight.requires_grad or (groups == 1 and bias.requires_grad):
+                    # Spans of output frames: one tile for the all-tap
+                    # lowering, kt times the size of a kf-only one; else the
+                    # whole sample.
+                    span = tile if groups == 1 else to
+                    gw = np.zeros((groups, kb, o), dtype=rtype)
+                    tmp_w = np.empty((kb, o), dtype=rtype)
+                    y_span = np.empty((kb, (span + halo) * fo), dtype=rtype)
+                    y_span[k:] = 1
+                    for s in range(n):
+                        for u0 in range(0, to, span):
+                            u1 = min(u0 + span, to)
+                            r = (u1 - u0) * fo
+                            _lower(win[s], u0, u1 + halo, y_span)
+                            gs = g3[s, :, u0 * fo : u1 * fo]
+                            for i in range(groups):
+                                np.matmul(y_span[:, taps[i] : taps[i] + r], gs.T, out=tmp_w)
+                                gw[i] += tmp_w
+                    gw = gw.reshape(-1, o)
+                    weight._accumulate(gw[: kt * kf * c].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
+                    if groups == 1:
+                        bias._accumulate(gw[-1])
+                if self.requires_grad:
+                    # Per time tap i, (kf*c, o) rows of W^T.
+                    wt = w_aug[:-1].reshape(kt, kf * c, o)
                     gx = np.empty((n, c, t, f), dtype=rtype)
-                    dy = np.empty((k, t * fo), dtype=rtype)
+                    dy = np.empty((kf * c, t * fo), dtype=rtype)
                     dy4 = dy.reshape(kf, c, t, fo)
-                    tmp_y = np.empty((k, rows), dtype=rtype)
-                for s in range(n):
-                    gs = g3[s]
-                    if need_w:
-                        y = _lower_freq_taps(self.data[s], kf, rf, y_full)
-                        for i in range(kt):
-                            np.matmul(y[:, taps[i] : taps[i] + rows], gs.T, out=tmp_w)
-                            gwt[i] += tmp_w
-                    if need_x:
+                    tmp_y = np.empty((kf * c, rows), dtype=rtype)
+                    for s in range(n):
+                        gs = g3[s]
                         # Tap 0 and frequency tap 0 are written, not added;
                         # the columns past them start at 0.
                         np.matmul(wt[0], gs, out=dy[:, :rows])
                         dy[:, rows:] = 0
                         for i in range(1, kt):
                             np.matmul(wt[i], gs, out=tmp_y)
-                            dy[:, taps[i] : taps[i] + rows] += tmp_y
+                            dy[:, i * rt * fo : i * rt * fo + rows] += tmp_y
                         gxs = gx[s]
                         gxs[:, :, :fo] = dy4[0]
                         gxs[:, :, fo:] = 0
                         for j in range(1, kf):
                             gxs[:, :, j * rf : j * rf + fo] += dy4[j]
-                if need_w:
-                    weight._accumulate(gwt.reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
-                if need_x:
                     self._accumulate(gx)
             out._backward = _backward
         return out

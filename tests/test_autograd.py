@@ -246,6 +246,61 @@ def test_conv2d_scratch_is_one_sample_lowering():
     assert mem.peak < out.data.nbytes + grads + 3.6 * lowering
 
 
+def test_conv2d_one_channel_scratch_is_one_tile_lowering():
+    # With one input channel a tile lowers all kt*kf taps and a ones row,
+    # (kt*kf + 1, tile*fo). A no-grad forward and the weight-gradient
+    # backward each hold about one such tile beyond their outputs and
+    # gradients (1.02 here), not a sample's whole (kt*kf, t*fo) lowering
+    # (12.1) nor its whole kf-only lowering (1.76).
+    o, kt, kf = 4, 7, 7
+    t, f = 400, 40
+    fo = f - kf + 1
+    tile_lowering = (kt * kf + 1) * autograd._TILE_FRAMES * fo * 8
+    x = Tensor(RNG.standard_normal((2, 1, t, f)))
+    w = Tensor(RNG.standard_normal((o, 1, kt, kf)), requires_grad=True)
+    b = Tensor(RNG.standard_normal(o), requires_grad=True)
+    with TracedMemory() as mem, no_grad():
+        out = x.conv2d(w, b)
+    assert mem.peak - out.data.nbytes < 1.25 * tile_lowering
+    with TracedMemory() as mem:
+        out = x.conv2d(w, b)
+        out.sum().backward()
+    grads = w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
+    assert mem.peak < out.data.nbytes + grads + 1.25 * tile_lowering
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv2d_block1_float32_matches_float64_oracle(k):
+    # The model's block-1 geometry (c_in 1, 16 filters, k x k, a 10 s clip of
+    # 64 mel bins) in float32: output, weight and bias gradients within 1e-5
+    # of the float64 oracle. The weight gradient of loss sum(out * m) is
+    # linear in the oracle's output: tap (i, j) reads sum(m * conv(x, e_ij)).
+    x = RNG.standard_normal((2, 1, 1001, 64)).astype(np.float32)
+    bound = np.sqrt(6.0 / (k * k))
+    w = RNG.uniform(-bound, bound, (16, 1, k, k)).astype(np.float32)
+    b = RNG.uniform(-0.5, 0.5, 16).astype(np.float32)
+    x64, w64, b64 = x.astype(np.float64), w.astype(np.float64), b.astype(np.float64)
+    m = RNG.standard_normal((2, 16, 1001 - k + 1, 64 - k + 1)).astype(np.float32)
+    m64 = m.astype(np.float64)
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    out = Tensor(x).conv2d(wt, bt)
+    (out * Tensor(m)).sum().backward()
+    assert out.data.dtype == wt.grad.dtype == bt.grad.dtype == np.float32
+    assert rel_err(out.data, naive_conv2d(x64, w64, b64)) < 1e-5
+    gw = np.zeros((16, 1, k, k))
+    for i in range(k):
+        for j in range(k):
+            tap = np.zeros((1, 1, k, k))
+            tap[0, 0, i, j] = 1.0
+            gw[:, 0, i, j] = (m64 * naive_conv2d(x64, tap, np.zeros(1))).sum(axis=(0, 2, 3))
+    assert rel_err(wt.grad, gw) < 1e-5
+    assert rel_err(bt.grad, m64.sum(axis=(0, 2, 3))) < 1e-5
+    # Zero weights give the bias bit for bit: the ones row carries it alone.
+    with no_grad():
+        zero = Tensor(x).conv2d(Tensor(np.zeros_like(w)), bt).data
+    assert np.array_equal(zero, np.broadcast_to(b[None, :, None, None], zero.shape))
+
+
 def test_conv2d_backward_holds_one_input_gradient():
     # The input gradient is built once and stored as the leaf's grad, not
     # added into a second, zeroed input-sized array.

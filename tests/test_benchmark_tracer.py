@@ -51,3 +51,27 @@ def test_benchmark_tracer_times_one_crop_per_evaluated_clip():
     finally:
         tracer.uninstall()
     assert [s[0] for s in tracer.spans].count("data.crop_frames") == len(feats)
+
+
+def test_benchmark_tracer_sees_every_conv_of_a_prediction_and_a_training_step():
+    # perfbench marks a run failed when the conv MACs it sees through
+    # Tensor.conv2d differ from analysis.count_flops, so a conv kernel that
+    # bypassed Tensor.conv2d, or handed it copies of the model's weights,
+    # fails here first.
+    rng = np.random.default_rng(3)
+    net = model.Mtrcnn(model.ModelConfig(), rng)
+    x = rng.standard_normal((2, 1, 150, dsp.N_MELS)).astype(np.float32)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.run = "predict"
+        net.predict(x[:1])
+        tracer.run = "train"
+        logits = net.forward(x, training=True, dropout_rng=np.random.default_rng(4))
+        training.cross_entropy(logits, np.array([0, 1])).backward()
+    finally:
+        tracer.uninstall()
+    assert tracer.mismatched_runs == set()
+    for k in (3, 5, 7):
+        assert tracer.counts[f"macs.fwd.k{k}b1"] > 0
+        assert tracer.counts[f"macs.bwd.k{k}b1"] > 0
