@@ -48,11 +48,14 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# Output frames per conv2d forward tile. Short enough that a tile's
-# channels-first lowering and its (o, rows) accumulator stay in cache, long
-# enough that each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread,
-# the nine conv forwards took about as long with tiles of 32 and 64 frames,
-# and longer with 16 (+45 %) or 128 (+13 %); 32 keeps the buffers small.
+# Frames per conv2d tile: output frames in the forward and, with more than
+# one input channel, input frames in the backward. Short enough that a tile's
+# channels-first lowering and its GEMM results stay in cache, long enough
+# that each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread, the
+# nine conv forwards took about as long with tiles of 32 and 64 frames, and
+# longer with 16 (+45 %) or 128 (+13 %); at the 32 x 6 s training shapes the
+# blocks 2-3 backward took as long at 64 frames as at 32, and 6 % longer at
+# 16. 32 keeps the buffers small.
 _TILE_FRAMES = 32
 
 # Input bytes per tile of the fused conv-block tail: `bn_relu_pool`'s forward
@@ -367,29 +370,35 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Both passes work one sample at a time on a channels-first lowering
-        Y^T of its taps, copied from a window view of the (c, t, f) input
-        (`_tap_windows`, `_lower`). With one input channel it holds all
-        kt*kf taps (the im2col of Chellapilla, Puri & Simard, 2006) plus a
-        row of ones, and the weights W_aug (kt*kf + 1, o) end in the bias.
-        Otherwise it holds the kf frequency taps, K = kf*c, kt times smaller
-        than a full im2col, and time tap i is the column block from i*rt*fo.
-        Forward lowers one tile of `_TILE_FRAMES` output frames at a time
-        (Anderson et al., arXiv:1709.03395). An all-tap tile is one GEMM,
+        Both passes work one sample at a time, one tile of `_TILE_FRAMES`
+        frames at a time (Anderson et al., arXiv:1709.03395), on a
+        channels-first lowering Y^T of its taps, copied from a window view of
+        the (c, t, f) input (`_tap_windows`, `_lower`). With one input
+        channel it holds all kt*kf taps (the im2col of Chellapilla, Puri &
+        Simard, 2006) plus a row of ones, and the weights W_aug (kt*kf + 1, o)
+        end in the bias. Otherwise it holds the kf frequency taps, K = kf*c,
+        kt times smaller than a full im2col.
+        Forward tiles output frames. An all-tap tile is one GEMM,
         W_aug^T @ Y^T, written by BLAS straight into the output. Otherwise
-        the tile sums one GEMM per time tap, W_i @ Y^T[:, tap i], into a
-        tile-sized (o, rows) accumulator, adds the bias and copies the tile
-        into the output. Backward lowers again instead of keeping Y^T in the
-        graph and sums the weight gradient the same way,
-        gW^T += Y^T[:, tap i] @ g.T: one GEMM per all-tap tile, whose ones
-        row makes the last row the bias gradient, or per time tap over the
-        sample's whole kf-only lowering. The input gradient takes
-        dY^T[:, tap i] += W_i.T @ g[s] per time tap and folds dY^T onto the
-        sample's input gradient with kf adds of contiguous (c, t, fo)
-        blocks. Scratch does not grow with the batch: forward holds one
-        tile's lowering (and, with kt GEMMs a tile, two tile-sized GEMM
-        results), backward one all-tap tile or one sample's kf-only
-        lowering, dY^T and one GEMM result.
+        time tap i is Y^T's column block from i*rt*fo, and the tile sums one
+        GEMM per time tap, W_i @ Y^T[:, tap i], into a tile-sized (o, rows)
+        accumulator, adds the bias and copies the tile into the output.
+        Backward lowers again instead of keeping Y^T in the graph. With one
+        input channel the weight gradient sums one GEMM per all-tap tile,
+        gW_aug += Y^T @ g.T, whose ones row makes the last row the bias
+        gradient. The rest tiles input frames u: a tile fills
+        G (kt*o, frames*fo), whose block i is the output gradient of frames
+        u - i*rt (zeros past either edge), so every tap's share lines up
+        with the tile's own frames and its kf-only lowering needs no halo
+        (a time-tap-stacked gradient, after Georganas et al.,
+        arXiv:1808.05567). Two GEMMs a tile give both gradients:
+        gW_st += G @ Y, with N = kf*c, and dY^T = W_st @ G, with K = kt*o,
+        where W_st (kf*c, kt*o) stacks each tap's W_i^T. dY^T's kf frequency
+        taps fold into the tile's frames of the input gradient while they
+        are in cache. Scratch grows with neither the batch nor the sample
+        length: forward holds one tile's lowering (and, with kt GEMMs a
+        tile, two tile-sized GEMM results), backward one all-tap tile, or
+        one tile's G and one buffer that holds its lowering, then dY^T.
         """
         rt, rf = dilation
         n, c, t, f = self.data.shape
@@ -457,52 +466,72 @@ class Tensor:
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
-                g3 = out.grad.reshape(n, o, rows)
+                g4 = out.grad
                 if groups > 1:
-                    bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
-                if weight.requires_grad or (groups == 1 and bias.requires_grad):
-                    # Spans of output frames: one tile for the all-tap
-                    # lowering, kt times the size of a kf-only one; else the
-                    # whole sample.
-                    span = tile if groups == 1 else to
-                    gw = np.zeros((groups, kb, o), dtype=rtype)
-                    tmp_w = np.empty((kb, o), dtype=rtype)
-                    y_span = np.empty((kb, (span + halo) * fo), dtype=rtype)
-                    y_span[k:] = 1
+                    bias._accumulate(g4.sum(axis=(0, 2, 3)))
+                elif weight.requires_grad or bias.requires_grad:
+                    # One GEMM per all-tap tile of output frames; the ones
+                    # row makes gw's last row the bias gradient.
+                    g3 = g4.reshape(n, o, rows)
+                    gw = np.zeros((kb, o), dtype=rtype)
+                    tmp_w = np.empty_like(gw)
+                    y_all = np.empty((kb, tile * fo), dtype=rtype)
+                    y_all[k:] = 1
                     for s in range(n):
-                        for u0 in range(0, to, span):
-                            u1 = min(u0 + span, to)
+                        for u0 in range(0, to, tile):
+                            u1 = min(u0 + tile, to)
+                            _lower(win[s], u0, u1, y_all)
                             r = (u1 - u0) * fo
-                            _lower(win[s], u0, u1 + halo, y_span)
-                            gs = g3[s, :, u0 * fo : u1 * fo]
-                            for i in range(groups):
-                                np.matmul(y_span[:, taps[i] : taps[i] + r], gs.T, out=tmp_w)
-                                gw[i] += tmp_w
-                    gw = gw.reshape(-1, o)
-                    weight._accumulate(gw[: kt * kf * c].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
-                    if groups == 1:
-                        bias._accumulate(gw[-1])
+                            np.matmul(y_all[:, :r], g3[s, :, u0 * fo : u1 * fo].T, out=tmp_w)
+                            gw += tmp_w
+                    weight._accumulate(gw[:k].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
+                    bias._accumulate(gw[-1])
+                wgrad = groups > 1 and weight.requires_grad
+                if not (wgrad or self.requires_grad):
+                    return
+                # Tiles of input frames u0:u1 and their time-tap-stacked
+                # output gradient G (see the docstring). gw is gW_st = G @ Y,
+                # not its transpose Y^T @ G^T, which ran 7-14 % slower at the
+                # blocks 2-3 tile shapes (one BLAS thread).
+                ti = min(_TILE_FRAMES, t)
+                g_buf = np.empty(kt * o * ti * fo, dtype=rtype)
+                y_buf = np.empty(kf * c * ti * fo, dtype=rtype)
+                if wgrad:
+                    gw = np.zeros((kt * o, kf * c), dtype=rtype)
+                    tmp_w = np.empty_like(gw)
                 if self.requires_grad:
-                    # Per time tap i, (kf*c, o) rows of W^T.
-                    wt = w_aug[:-1].reshape(kt, kf * c, o)
+                    # W_st (kf*c, kt*o): block i is tap i's W^T.
+                    w_st = w_aug[:-1].reshape(kt, kf * c, o).transpose(1, 0, 2).reshape(kf * c, -1)
                     gx = np.empty((n, c, t, f), dtype=rtype)
-                    dy = np.empty((kf * c, t * fo), dtype=rtype)
-                    dy4 = dy.reshape(kf, c, t, fo)
-                    tmp_y = np.empty((kf * c, rows), dtype=rtype)
-                    for s in range(n):
-                        gs = g3[s]
-                        # Tap 0 and frequency tap 0 are written, not added;
-                        # the columns past them start at 0.
-                        np.matmul(wt[0], gs, out=dy[:, :rows])
-                        dy[:, rows:] = 0
-                        for i in range(1, kt):
-                            np.matmul(wt[i], gs, out=tmp_y)
-                            dy[:, i * rt * fo : i * rt * fo + rows] += tmp_y
-                        gxs = gx[s]
-                        gxs[:, :, :fo] = dy4[0]
-                        gxs[:, :, fo:] = 0
-                        for j in range(1, kf):
-                            gxs[:, :, j * rf : j * rf + fo] += dy4[j]
+                for s in range(n):
+                    for u0 in range(0, t, ti):
+                        u1 = min(u0 + ti, t)
+                        m = u1 - u0
+                        g_t = g_buf[: kt * o * m * fo].reshape(kt, o, m, fo)
+                        for i in range(kt):
+                            d = u0 - i * rt  # output frame of G's first column
+                            lo = min(max(-d, 0), m)
+                            hi = max(min(to - d, m), lo)
+                            g_t[i, :, :lo] = 0
+                            g_t[i, :, lo:hi] = g4[s, :, d + lo : d + hi]
+                            g_t[i, :, hi:] = 0
+                        g2 = g_t.reshape(kt * o, m * fo)
+                        y = y_buf[: kf * c * m * fo].reshape(kf * c, m * fo)
+                        if wgrad:
+                            _lower(win[s], u0, u1, y)
+                            np.matmul(g2, y.T, out=tmp_w)
+                            gw += tmp_w
+                        if self.requires_grad:
+                            np.matmul(w_st, g2, out=y)
+                            dy4 = y.reshape(kf, c, m, fo)
+                            gxs = gx[s, :, u0:u1]
+                            gxs[:, :, :fo] = dy4[0]
+                            gxs[:, :, fo:] = 0
+                            for j in range(1, kf):
+                                gxs[:, :, j * rf : j * rf + fo] += dy4[j]
+                if wgrad:
+                    weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
+                if self.requires_grad:
                     self._accumulate(gx)
             out._backward = _backward
         return out

@@ -10,6 +10,9 @@ from conftest import TracedMemory, check_grads, kink_free_bn_input, naive_conv2d
 
 from touch_audition import autograd
 from touch_audition.autograd import Tensor, concat, cross_entropy, no_grad, softmax
+from touch_audition.data import target_frames
+from touch_audition.dsp import N_MELS
+from touch_audition.model import ModelConfig
 from touch_audition.optim import Adam
 
 RNG = np.random.default_rng(123)
@@ -207,6 +210,50 @@ def test_conv2d_long_input_grads(c, o, kt, kf, dilation):
     )
 
 
+# The backward's input tiles (and the forward's output tiles) at 1, 5 and 32
+# frames. Cases: (c_in, c_out, kt, kf, dilation, output frames), the
+# c_in > 1 rows of TILE_CASES plus a 23-frame input whose (kt-1)*rt = 14
+# halo frames are wider than a 5-frame tile.
+TILE_GRAD_CASES = [(*case, 101) for case in TILE_CASES if case[0] > 1] + [(2, 3, 3, 2, (7, 1), 9)]
+TILE_GRAD_FRAMES = (1, 5, 32)
+
+
+def _tile_edges(t, to, kt, rt, tile):
+    """The edges that tiles of `tile` input frames meet over t frames: a
+    partial last tile, a tile where some tap reads no output frame, and an
+    input shorter than a tile."""
+    size = min(tile, t)
+    starts = range(0, t, size)
+    empty = any(min(u0 + size, t) - i * rt <= 0 or u0 - i * rt >= to
+                for u0 in starts for i in range(kt))
+    return {"partial": t % size != 0, "empty": empty, "short": t < tile}
+
+
+def test_tile_grad_cases_meet_every_tile_edge():
+    met = set()
+    for _, _, kt, _, (rt, _), to in TILE_GRAD_CASES:
+        for tile in TILE_GRAD_FRAMES:
+            met |= {edge for edge, hit in _tile_edges((kt - 1) * rt + to, to, kt, rt, tile).items() if hit}
+    assert met == {"partial", "empty", "short"}
+
+
+@pytest.mark.parametrize("tile", TILE_GRAD_FRAMES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation, to", TILE_GRAD_CASES)
+def test_conv2d_tiled_backward_grads(monkeypatch, c, o, kt, kf, dilation, to, tile):
+    monkeypatch.setattr(autograd, "_TILE_FRAMES", tile)
+    rt, rf = dilation
+    t, f = (kt - 1) * rt + to, (kf - 1) * rf + 2
+    check_grads(
+        lambda ts: (ts["x"].conv2d(ts["w"], ts["b"], dilation) * ts["m"]).sum(),
+        {
+            "x": RNG.standard_normal((1, c, t, f)),
+            "w": RNG.standard_normal((o, c, kt, kf)),
+            "b": RNG.standard_normal(o),
+            "m": RNG.standard_normal((1, o, to, 2)),
+        },
+    )
+
+
 def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
     # A no-grad forward lowers a few frames at a time, straight from the
     # channels-first input: beyond its output it holds one tile's lowering
@@ -227,11 +274,11 @@ def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
 
 def test_conv2d_scratch_is_one_sample_lowering():
     # Beyond its output and the gradients it hands back, conv2d holds only
-    # single-sample scratch: one lowering, dY, one GEMM result and numpy's
-    # fixed-size buffers for the strided tap and fold adds (3.46 lowerings
-    # here). Not the channels-last lowering with its transposed input-gradient
-    # fold (3.82), two samples' lowerings (4.4) nor the whole batch lowered
-    # at once (21.7).
+    # one tile's scratch: the backward's time-tap-stacked gradient G and the
+    # tile's kf-only lowering, which then holds dY^T (1.22 of a sample's
+    # lowering here). Not one sample's lowering, dY^T and GEMM result with
+    # numpy's buffers for strided tap adds over the sample (3.47), two
+    # samples' lowerings (4.4) nor the whole batch lowered at once (21.7).
     n, c, o, kt, kf, dilation = 16, 3, 4, 3, 5, (2, 1)
     t, f = 60, 40
     fo = f - (kf - 1) * dilation[1]
@@ -243,7 +290,32 @@ def test_conv2d_scratch_is_one_sample_lowering():
         out = x.conv2d(w, b, dilation)
         out.sum().backward()
     grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert mem.peak < out.data.nbytes + grads + 3.6 * lowering
+    assert mem.peak < out.data.nbytes + grads + 1.5 * lowering
+
+
+def test_conv2d_backward_scratch_does_not_grow_with_sample_length():
+    # With more than one input channel the backward walks tiles of input
+    # frames, so beyond outputs and gradients it holds the same scratch for
+    # a sample of t and of 4*t frames: the two differ by less than one
+    # tile's G buffer (0.0001 of one here). A backward that lowers the whole
+    # sample holds more at 4*t by three samples' lowerings, dY^T and GEMM
+    # results (21 G buffers).
+    c, o, kt, kf, dilation = 3, 4, 3, 5, (2, 1)
+    f = 40
+    fo = f - (kf - 1) * dilation[1]
+    g_tile = kt * o * autograd._TILE_FRAMES * fo * 8
+
+    def scratch(t):
+        x = Tensor(RNG.standard_normal((2, c, t, f)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
+        b = Tensor(RNG.standard_normal(o), requires_grad=True)
+        with TracedMemory() as mem:
+            out = x.conv2d(w, b, dilation)
+            out.sum().backward()
+        grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
+        return mem.peak - out.data.nbytes - grads
+
+    assert abs(scratch(4 * 60) - scratch(60)) < g_tile
 
 
 def test_conv2d_one_channel_scratch_is_one_tile_lowering():
@@ -299,6 +371,45 @@ def test_conv2d_block1_float32_matches_float64_oracle(k):
     with no_grad():
         zero = Tensor(x).conv2d(Tensor(np.zeros_like(w)), bt).data
     assert np.array_equal(zero, np.broadcast_to(b[None, :, None, None], zero.shape))
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv2d_blocks23_float32_matches_float64_oracle(k, block):
+    # The model's block-2 and block-3 geometries (16 -> 32 channels at
+    # dilation (2, 1), 32 -> 64 at (3, 1)) at a 6 s crop, 2 samples, in
+    # float32: output, input, weight and bias gradients within 1e-5 of a
+    # float64 oracle. Of loss sum(out * m), tap (i, j) adds m contracted with
+    # w[:, :, i, j] into its window of the input gradient, and its weight
+    # gradient is m contracted with that window of x.
+    chans = (1,) + ModelConfig.filters
+    t, f = target_frames(6.0), N_MELS
+    for rt, rf in ModelConfig.dilations[: block - 1]:
+        t, f = (t - (k - 1) * rt) // 2, (f - (k - 1) * rf) // 2
+    c, o = chans[block - 1], chans[block]
+    rt, rf = ModelConfig.dilations[block - 1]
+    to, fo = t - (k - 1) * rt, f - (k - 1) * rf
+    x = RNG.standard_normal((2, c, t, f)).astype(np.float32)
+    bound = np.sqrt(6.0 / (c * k * k))
+    w = RNG.uniform(-bound, bound, (o, c, k, k)).astype(np.float32)
+    b = RNG.uniform(-0.5, 0.5, o).astype(np.float32)
+    m = RNG.standard_normal((2, o, to, fo)).astype(np.float32)
+    x64, w64, b64, m64 = (a.astype(np.float64) for a in (x, w, b, m))
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = xt.conv2d(wt, bt, (rt, rf))
+    (out * Tensor(m)).sum().backward()
+    assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == bt.grad.dtype == np.float32
+    assert rel_err(out.data, naive_conv2d(x64, w64, b64, (rt, rf))) < 1e-5
+    gx = np.zeros(x.shape)
+    gw = np.empty(w.shape)
+    for i in range(k):
+        for j in range(k):
+            window = (slice(None), slice(None), slice(i * rt, i * rt + to), slice(j * rf, j * rf + fo))
+            gx[window] += np.einsum("nouv,oc->ncuv", m64, w64[:, :, i, j])
+            gw[:, :, i, j] = np.einsum("nouv,ncuv->oc", m64, x64[window])
+    assert rel_err(xt.grad, gx) < 1e-5
+    assert rel_err(wt.grad, gw) < 1e-5
+    assert rel_err(bt.grad, m64.sum(axis=(0, 2, 3))) < 1e-5
 
 
 def test_conv2d_backward_holds_one_input_gradient():
