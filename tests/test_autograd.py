@@ -272,6 +272,20 @@ def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
     assert mem.peak - out.data.nbytes < 0.25 * lowering
 
 
+def _conv2d_scratch(n, t):
+    """Peak bytes that a forward and backward of conv2d hold beyond the
+    output and the gradients it hands back: input (n, 3, t, 40), 4 filters
+    of 3 x 5 taps at dilation (2, 1), so fo = 36."""
+    x = Tensor(RNG.standard_normal((n, 3, t, 40)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((4, 3, 3, 5)), requires_grad=True)
+    b = Tensor(RNG.standard_normal(4), requires_grad=True)
+    with TracedMemory() as mem:
+        out = x.conv2d(w, b, (2, 1))
+        out.sum().backward()
+    grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
+    return mem.peak - out.data.nbytes - grads
+
+
 def test_conv2d_scratch_is_one_sample_lowering():
     # Beyond its output and the gradients it hands back, conv2d holds only
     # one tile's scratch: the backward's time-tap-stacked gradient G and the
@@ -279,43 +293,18 @@ def test_conv2d_scratch_is_one_sample_lowering():
     # lowering here). Not one sample's lowering, dY^T and GEMM result with
     # numpy's buffers for strided tap adds over the sample (3.47), two
     # samples' lowerings (4.4) nor the whole batch lowered at once (21.7).
-    n, c, o, kt, kf, dilation = 16, 3, 4, 3, 5, (2, 1)
-    t, f = 60, 40
-    fo = f - (kf - 1) * dilation[1]
-    lowering = t * fo * kf * c * 8
-    x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
-    b = Tensor(RNG.standard_normal(o), requires_grad=True)
-    with TracedMemory() as mem:
-        out = x.conv2d(w, b, dilation)
-        out.sum().backward()
-    grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert mem.peak < out.data.nbytes + grads + 1.5 * lowering
+    lowering = 60 * 36 * 5 * 3 * 8  # t * fo * kf * c float64s
+    assert _conv2d_scratch(16, 60) < 1.5 * lowering
 
 
 def test_conv2d_backward_scratch_does_not_grow_with_sample_length():
     # With more than one input channel the backward walks tiles of input
-    # frames, so beyond outputs and gradients it holds the same scratch for
-    # a sample of t and of 4*t frames: the two differ by less than one
-    # tile's G buffer (0.0001 of one here). A backward that lowers the whole
-    # sample holds more at 4*t by three samples' lowerings, dY^T and GEMM
-    # results (21 G buffers).
-    c, o, kt, kf, dilation = 3, 4, 3, 5, (2, 1)
-    f = 40
-    fo = f - (kf - 1) * dilation[1]
-    g_tile = kt * o * autograd._TILE_FRAMES * fo * 8
-
-    def scratch(t):
-        x = Tensor(RNG.standard_normal((2, c, t, f)), requires_grad=True)
-        w = Tensor(RNG.standard_normal((o, c, kt, kf)), requires_grad=True)
-        b = Tensor(RNG.standard_normal(o), requires_grad=True)
-        with TracedMemory() as mem:
-            out = x.conv2d(w, b, dilation)
-            out.sum().backward()
-        grads = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-        return mem.peak - out.data.nbytes - grads
-
-    assert abs(scratch(4 * 60) - scratch(60)) < g_tile
+    # frames, so it holds the same scratch for a sample of t and of 4*t
+    # frames: the two differ by less than one tile's G buffer (0.0001 of one
+    # here). A backward that lowers the whole sample holds more at 4*t by
+    # three samples' lowerings, dY^T and GEMM results (21 G buffers).
+    g_tile = 3 * 4 * autograd._TILE_FRAMES * 36 * 8  # (kt*o, tile*fo) float64s
+    assert abs(_conv2d_scratch(2, 4 * 60) - _conv2d_scratch(2, 60)) < g_tile
 
 
 def test_conv2d_one_channel_scratch_is_one_tile_lowering():
