@@ -1,5 +1,7 @@
 """DSP front-end tests: WAV I/O, framing, mel filterbank, MELF container."""
 
+import threading
+
 import numpy as np
 import pytest
 from conftest import TracedMemory, corrupted
@@ -73,6 +75,23 @@ def test_load_wav_rejects_bad_formats(tmp_path):
             dsp.load_wav(bad)
     with pytest.raises(AudioFormatError):
         dsp.load_wav(str(tmp_path / "missing.wav"))
+
+
+def test_load_wav_scales_every_code_exactly(tmp_path):
+    # Every int16 code keeps its bits: one float32 multiply by 2**-15 equals
+    # converting to float32 and then dividing by 32768.
+    import wave
+
+    codes = np.arange(-32768, 32768, dtype="<i2")
+    path = str(tmp_path / "codes.wav")
+    with wave.open(path, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(dsp.SAMPLE_RATE)
+        w.writeframes(codes.tobytes())
+    got = dsp.load_wav(path)
+    want = codes.astype(np.float32) / 32768.0
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -158,28 +177,62 @@ def test_frame_signal_too_short():
         dsp.log_mel_spectrogram(np.zeros(511))
 
 
-@pytest.mark.parametrize("t", [1, dsp._TILE_FRAMES + 1, 997])
-def test_log_mel_tiles_match_untiled_composition(t):
-    # One frame; one tile and a one-frame tail; a 10 s clip. Tiling the
-    # frames leaves every bit of the features as the whole-clip composition.
+_TILE = dsp._TILE_FRAMES
+
+
+@pytest.mark.parametrize("t", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 997])
+def test_log_mel_tiles_match_untiled_composition(t, monkeypatch):
+    # One frame; one frame short of a tile; exactly one tile; one tile and a
+    # one-frame tail; two tiles; a 10 s clip. At the production tile size and
+    # at tiles of 1, 5, 64 and 997 frames, tiling the frames leaves every bit
+    # of the features as the whole-clip composition.
     n = dsp.WIN_LENGTH + (t - 1) * dsp.HOP_LENGTH + dsp.HOP_LENGTH - 1
     sig = np.random.default_rng(t).uniform(-1, 1, n).astype(np.float32)
     assert dsp.num_frames(n) == t
     power = dsp.power_spectrogram(sig)
     want = np.log(power @ dsp.mel_filterbank().T + dsp.LOG_FLOOR).astype(np.float32)
-    got = dsp.log_mel_spectrogram(sig)
-    assert got.dtype == np.float32 and np.array_equal(got, want)
+    for tile in (_TILE, 1, 5, 64, 997):
+        monkeypatch.setattr(dsp, "_TILE_FRAMES", tile)
+        got = dsp.log_mel_spectrogram(sig)
+        assert got.dtype == np.float32 and np.array_equal(got, want), tile
 
 
 def test_log_mel_scratch_is_a_fraction_of_the_spectrum():
     # A 10 s clip's features are built a few frames at a time: beyond the
     # output, scratch stays well under the whole clip's complex spectrum
-    # (about 0.25 of it here; the whole-clip composition takes about 2).
+    # (about 0.35 of it here; the whole-clip composition takes about 2).
     sig = np.random.default_rng(5).uniform(-1, 1, 10 * dsp.SAMPLE_RATE).astype(np.float32)
     spectrum = dsp.num_frames(sig.shape[0]) * (dsp.N_FFT // 2 + 1) * 16
     with TracedMemory() as mem:
         feats = dsp.log_mel_spectrogram(sig)
     assert mem.peak - feats.nbytes < 0.5 * spectrum
+
+
+def test_log_mel_shares_no_writable_state():
+    # The window and filterbank are module constants every call reads, so
+    # they refuse writes; the scratch is per call, so two threads featurizing
+    # different clips at once each get the bytes of a serial call.
+    with pytest.raises(ValueError):
+        dsp._WINDOW[0] = 0.0
+    with pytest.raises(ValueError):
+        dsp._MEL_FB_T[0, 0] = 0.0
+    rng = np.random.default_rng(8)
+    clips = [rng.uniform(-1, 1, n).astype(np.float32) for n in (10 * dsp.SAMPLE_RATE, 160_037)]
+    serial = [dsp.log_mel_spectrogram(c).tobytes() for c in clips]
+    start = threading.Barrier(len(clips))
+    got: dict[int, list[bytes]] = {}
+
+    def featurize(i: int) -> None:
+        start.wait()
+        got[i] = [dsp.log_mel_spectrogram(clips[i]).tobytes() for _ in range(20)]
+
+    threads = [threading.Thread(target=featurize, args=(i,)) for i in range(len(clips))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for i, want in enumerate(serial):
+        assert got[i] == [want] * 20
 
 
 def test_mel_scale_inverse():
