@@ -48,8 +48,8 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# Frames per conv2d tile: output frames in the forward and, with more than
-# one input channel, input frames in the backward. Short enough that a tile's
+# Frames per conv2d tile: output frames in the forwards and block 1's weight
+# gradient, input frames in `_conv_stacked_backward`. Short enough that a tile's
 # channels-first lowering and its GEMM results stay in cache, long enough
 # that each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread, the
 # nine conv forwards took about as long with tiles of 32 and 64 frames, and
@@ -85,6 +85,154 @@ def _lower(win: np.ndarray, u0: int, u1: int, y: np.ndarray) -> None:
     column block from i*rt*fo. Rows past kl*kf*c are kept."""
     kl, kf, c, _, fo = win.shape
     np.copyto(y[: kl * kf * c].reshape(kl, kf, c, -1, fo)[:, :, :, : u1 - u0], win[:, :, :, u0:u1])
+
+
+def _tiles(frames: int, tile: int) -> list[tuple[int, int]]:
+    """Spans (u0, u1) of at most `tile` frames that cover frames 0:frames in
+    order; the last may be shorter."""
+    return [(u0, min(u0 + tile, frames)) for u0 in range(0, frames, tile)]
+
+
+# The conv kernels. Each runs one algorithm over a batch of windows from
+# `_tap_windows` and allocates its tile scratch once per call, sized by
+# `_TILE_FRAMES` as it reads when called, so one sample's recompute is one
+# call on win[s:s+1] and gives that sample's bytes of the batch call. W_aug
+# is W^T with the bias as its last row, (kt*kf*c + 1, o), rows in the
+# lowering's (kt, kf, c) order.
+
+
+def _conv_all_taps(win: np.ndarray, w_aug: np.ndarray) -> np.ndarray:
+    """One-channel forward: win (n, kt, kf, 1, to, fo) holds all kt*kf taps
+    (the im2col of Chellapilla, Puri & Simard, 2006), so a tile of output
+    frames is one GEMM, W_aug^T @ Y^T, whose Y^T ends in a row of ones for
+    the bias, written by BLAS straight into the (n, o, to, fo) output.
+    Scratch: one tile's lowering, (kt*kf + 1, tile*fo).
+
+    OpenBLAS gets W_aug^T as the transposed view w_aug.T: with a contiguous
+    operand it sends small tiles to a small-matrix kernel that sums in
+    another order, and an output's bits would depend on the size of the
+    tile it falls in."""
+    n, _, _, _, to, fo = win.shape
+    out = np.empty((n, w_aug.shape[1], to * fo), dtype=w_aug.dtype)
+    tile = min(_TILE_FRAMES, to)
+    y = np.ones((len(w_aug), tile * fo), dtype=w_aug.dtype)  # `_lower` keeps the last row
+    for s in range(n):
+        for u0, u1 in _tiles(to, tile):
+            _lower(win[s], u0, u1, y)
+            np.matmul(w_aug.T, y[:, : (u1 - u0) * fo], out=out[s, :, u0 * fo : u1 * fo])
+    return out.reshape(n, -1, to, fo)
+
+
+def _conv_freq_taps(win: np.ndarray, w_aug: np.ndarray, rt: int) -> np.ndarray:
+    """Forward with several channels: win (n, 1, kf, c, t, fo) holds the kf
+    frequency taps, K = kf*c, kt times smaller than a full im2col. A tile
+    of output frames lowers the input frames its kt time taps read, so
+    time tap i is that lowering's column block from i*rt*fo. The tile sums
+    one GEMM per time tap, W_i @ Y^T[:, tap i], with W_i^T passed as a
+    transposed view of w_aug as in `_conv_all_taps`, adds the bias and
+    copies the tile into the (n, o, to, fo) output. It sums in contiguous
+    (o, tile*fo) buffers: numpy's in-place adds run several times slower on
+    a strided view of the output. Scratch: one tile's lowering with its
+    (kt-1)*rt halo frames, (kf*c, (tile + (kt-1)*rt)*fo), and two
+    tile-sized GEMM results."""
+    n, _, kf, c, t, fo = win.shape
+    wt = w_aug[:-1].reshape(-1, kf * c, w_aug.shape[1])  # W_i^T for each time tap i
+    kt, k, o = wt.shape
+    halo = (kt - 1) * rt
+    to = t - halo
+    out = np.empty((n, o, to * fo), dtype=w_aug.dtype)
+    tile = min(_TILE_FRAMES, to)
+    y = np.empty((k, (tile + halo) * fo), dtype=w_aug.dtype)
+    acc, tmp = np.empty((2, o, tile * fo), dtype=w_aug.dtype)
+    for s in range(n):
+        for u0, u1 in _tiles(to, tile):
+            r = (u1 - u0) * fo
+            _lower(win[s], u0, u1 + halo, y)
+            a, b = acc[:, :r], tmp[:, :r]
+            np.matmul(wt[0].T, y[:, :r], out=a)
+            for i in range(1, kt):
+                np.matmul(wt[i].T, y[:, i * rt * fo : i * rt * fo + r], out=b)
+                a += b
+            a += w_aug[-1][:, None]
+            out[s, :, u0 * fo : u1 * fo] = a
+    return out.reshape(n, o, to, fo)
+
+
+def _conv_all_taps_wgrad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Block 1's weight and bias gradient, in W_aug's layout, over the
+    windows of `_conv_all_taps` and the output gradient g (n, o, to, fo):
+    one GEMM per tile of output frames, gW_aug += Y^T @ g^T, whose ones row
+    makes the last row the bias gradient. Scratch: one tile's lowering and
+    one (kt*kf + 1, o) GEMM result."""
+    n, kt, kf, _, to, fo = win.shape
+    g3 = g.reshape(n, -1, to * fo)
+    gw = np.zeros((kt * kf + 1, g.shape[1]), dtype=g.dtype)
+    tmp = np.empty_like(gw)
+    tile = min(_TILE_FRAMES, to)
+    y = np.ones((len(gw), tile * fo), dtype=g.dtype)  # `_lower` keeps the last row
+    for s in range(n):
+        for u0, u1 in _tiles(to, tile):
+            _lower(win[s], u0, u1, y)
+            np.matmul(y[:, : (u1 - u0) * fo], g3[s, :, u0 * fo : u1 * fo].T, out=tmp)
+            gw += tmp
+    return gw
+
+
+def _conv_stacked_backward(win: np.ndarray, g: np.ndarray, w_aug: np.ndarray,
+                           dilation: tuple[int, int], wgrad: bool, xgrad: bool):
+    """(gW_st (kt*o, kf*c) if `wgrad` else None, the input gradient
+    (n, c, t, f) if `xgrad` else None), from the kf-only windows of
+    `_conv_freq_taps` and the output gradient g (n, o, to, fo).
+
+    Tiles input frames u. A tile fills G (kt*o, frames*fo), whose block i
+    is the output gradient of frames u - i*rt (zeros past either edge), so
+    every tap's share lines up with the tile's own frames and its kf-only
+    lowering needs no halo (a time-tap-stacked gradient, after Georganas
+    et al., arXiv:1808.05567). Two GEMMs a tile give both gradients:
+    gW_st += G @ Y, with N = kf*c, and dY^T = W_st @ G, with K = kt*o,
+    where W_st (kf*c, kt*o) stacks each tap's W_i^T. dY^T's kf frequency
+    taps fold into the tile's frames of the input gradient while they are
+    in cache. The weight gradient is G @ Y, not its transpose Y^T @ G^T,
+    which ran 7-14 % slower at the blocks 2-3 tile shapes (one BLAS
+    thread). Scratch: one tile's G and one buffer that holds its lowering,
+    then dY^T; neither grows with the batch or the sample length."""
+    rt, rf = dilation
+    n, _, kf, c, t, fo = win.shape
+    _, o, to, _ = g.shape
+    w_st = w_aug[:-1].reshape(-1, kf * c, o).transpose(1, 0, 2).reshape(kf * c, -1)
+    k, kt = kf * c, w_st.shape[1] // o
+    tile = min(_TILE_FRAMES, t)
+    g_buf = np.empty(kt * o * tile * fo, dtype=g.dtype)
+    y_buf = np.empty(k * tile * fo, dtype=g.dtype)
+    gw = np.zeros((kt * o, k), dtype=g.dtype) if wgrad else None
+    tmp = np.empty_like(gw) if wgrad else None
+    gx = np.empty((n, c, t, fo + (kf - 1) * rf), dtype=g.dtype) if xgrad else None
+    for s in range(n):
+        for u0, u1 in _tiles(t, tile):
+            m = u1 - u0
+            g_t = g_buf[: kt * o * m * fo].reshape(kt, o, m, fo)
+            for i in range(kt):
+                d = u0 - i * rt  # output frame of G's first column
+                lo = min(max(-d, 0), m)
+                hi = max(min(to - d, m), lo)
+                g_t[i, :, :lo] = 0
+                g_t[i, :, lo:hi] = g[s, :, d + lo : d + hi]
+                g_t[i, :, hi:] = 0
+            g2 = g_t.reshape(kt * o, m * fo)
+            y = y_buf[: k * m * fo].reshape(k, m * fo)
+            if wgrad:
+                _lower(win[s], u0, u1, y)
+                np.matmul(g2, y.T, out=tmp)
+                gw += tmp
+            if xgrad:
+                np.matmul(w_st, g2, out=y)
+                dy4 = y.reshape(kf, c, m, fo)
+                gxs = gx[s, :, u0:u1]
+                gxs[:, :, :fo] = dy4[0]
+                gxs[:, :, fo:] = 0
+                for j in range(1, kf):
+                    gxs[:, :, j * rf : j * rf + fo] += dy4[j]
+    return gw, gx
 
 
 def _channel(v: np.ndarray) -> np.ndarray:
@@ -370,169 +518,50 @@ class Tensor:
         self: (n, c, t, f); weight: (o, c, kt, kf); bias: (o,).
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
-        Both passes work one sample at a time, one tile of `_TILE_FRAMES`
-        frames at a time (Anderson et al., arXiv:1709.03395), on a
-        channels-first lowering Y^T of its taps, copied from a window view of
-        the (c, t, f) input (`_tap_windows`, `_lower`). With one input
-        channel it holds all kt*kf taps (the im2col of Chellapilla, Puri &
-        Simard, 2006) plus a row of ones, and the weights W_aug (kt*kf + 1, o)
-        end in the bias. Otherwise it holds the kf frequency taps, K = kf*c,
-        kt times smaller than a full im2col.
-        Forward tiles output frames. An all-tap tile is one GEMM,
-        W_aug^T @ Y^T, written by BLAS straight into the output. Otherwise
-        time tap i is Y^T's column block from i*rt*fo, and the tile sums one
-        GEMM per time tap, W_i @ Y^T[:, tap i], into a tile-sized (o, rows)
-        accumulator, adds the bias and copies the tile into the output.
-        Backward lowers again instead of keeping Y^T in the graph. With one
-        input channel the weight gradient sums one GEMM per all-tap tile,
-        gW_aug += Y^T @ g.T, whose ones row makes the last row the bias
-        gradient. The rest tiles input frames u: a tile fills
-        G (kt*o, frames*fo), whose block i is the output gradient of frames
-        u - i*rt (zeros past either edge), so every tap's share lines up
-        with the tile's own frames and its kf-only lowering needs no halo
-        (a time-tap-stacked gradient, after Georganas et al.,
-        arXiv:1808.05567). Two GEMMs a tile give both gradients:
-        gW_st += G @ Y, with N = kf*c, and dY^T = W_st @ G, with K = kt*o,
-        where W_st (kf*c, kt*o) stacks each tap's W_i^T. dY^T's kf frequency
-        taps fold into the tile's frames of the input gradient while they
-        are in cache. Scratch grows with neither the batch nor the sample
-        length: forward holds one tile's lowering (and, with kt GEMMs a
-        tile, two tile-sized GEMM results), backward one all-tap tile, or
-        one tile's G and one buffer that holds its lowering, then dY^T.
+        Both passes lower window views of the input (`_tap_windows`) one
+        tile of `_TILE_FRAMES` frames at a time (Anderson et al.,
+        arXiv:1709.03395), and lower again in backward instead of keeping a
+        lowering in the graph. With one input channel the forward is
+        `_conv_all_taps` and the weight and bias gradient
+        `_conv_all_taps_wgrad`. With several, the forward is
+        `_conv_freq_taps`, the bias gradient sums the output gradient and
+        the weight gradient is `_conv_stacked_backward`'s. That kernel gives
+        every input gradient.
         """
         rt, rf = dilation
-        n, c, t, f = self.data.shape
+        _, c, t, f = self.data.shape
         o, c2, kt, kf = weight.data.shape
         if c != c2:
             raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {c2}")
-        kt_eff = (kt - 1) * rt + 1
-        kf_eff = (kf - 1) * rf + 1
+        kt_eff, kf_eff = (kt - 1) * rt + 1, (kf - 1) * rf + 1
         if t < kt_eff or f < kf_eff:
             raise ValueError(
                 f"conv2d input {t}x{f} smaller than effective kernel {kt_eff}x{kf_eff}"
             )
-        to = t - kt_eff + 1
-        fo = f - kf_eff + 1
-        rows = to * fo
-        rtype = np.result_type(self.data.dtype, weight.data.dtype)
-        # Time taps per lowering: all kt with one input channel, so a tile
-        # is one GEMM of K = kt*kf + 1 (a last row of ones); else one, and a
-        # tile sums kt GEMMs of K = kf*c over column blocks i*rt*fo apart,
-        # which reads `halo` input frames past the tile.
-        kl = kt if c == 1 else 1
-        groups = kt // kl
-        k = kl * kf * c
-        kb = k + 1 if groups == 1 else k
-        halo = (kt - kl) * rt
-        # W^T with the bias as its last row, (kt*kf*c + 1, o), rows in Y^T's
-        # (kt, kf, c) order; wg[i] is the rows of GEMM i. The forward hands
-        # them to BLAS as the transposed view wg[i].T: with a contiguous
-        # operand, OpenBLAS sends small tiles to a small-matrix kernel that
-        # sums in another order, and an output's bits would depend on the
-        # size of the tile it falls in.
-        w_aug = np.empty((kt * kf * c + 1, o), dtype=rtype)
+        w_aug = np.empty((kt * kf * c + 1, o), dtype=np.result_type(self.data.dtype, weight.data.dtype))
         w_aug[:-1] = weight.data.transpose(2, 3, 1, 0).reshape(-1, o)
         w_aug[-1] = bias.data
-        wg = w_aug[: groups * kb].reshape(groups, kb, o)
-        taps = [i * rt * fo for i in range(groups)]
-        win = _tap_windows(self.data, kl, kf, dilation)
-
-        out_data = np.empty((n, o, to, fo), dtype=rtype)
-        out3 = out_data.reshape(n, o, rows)
-        tile = min(_TILE_FRAMES, to)
-        y_tile = np.empty((kb, (tile + halo) * fo), dtype=rtype)
-        y_tile[k:] = 1
-        if groups > 1:
-            acc = np.empty((o, tile * fo), dtype=rtype)
-            tmp = np.empty_like(acc)
-        for s in range(n):
-            for u0 in range(0, to, tile):
-                u1 = min(u0 + tile, to)
-                r = (u1 - u0) * fo
-                _lower(win[s], u0, u1 + halo, y_tile)
-                out_tile = out3[s, :, u0 * fo : u1 * fo]
-                if groups == 1:
-                    np.matmul(wg[0].T, y_tile[:, :r], out=out_tile)
-                    continue
-                # Summed in contiguous buffers: numpy's in-place adds run
-                # several times slower on a strided (o, r) view of the output.
-                a, b = acc[:, :r], tmp[:, :r]
-                np.matmul(wg[0].T, y_tile[:, :r], out=a)
-                for i in range(1, groups):
-                    np.matmul(wg[i].T, y_tile[:, taps[i] : taps[i] + r], out=b)
-                    a += b
-                a += bias.data[:, None]
-                out_tile[...] = a
+        freq_taps = _tap_windows(self.data, 1, kf, dilation)
+        if c == 1:
+            out_data = _conv_all_taps(_tap_windows(self.data, kt, kf, dilation), w_aug)
+        else:
+            out_data = _conv_freq_taps(freq_taps, w_aug, rt)
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
-                g4 = out.grad
-                if groups > 1:
-                    bias._accumulate(g4.sum(axis=(0, 2, 3)))
+                g = out.grad
+                wgrad = c > 1 and weight.requires_grad
+                if c > 1:
+                    bias._accumulate(g.sum(axis=(0, 2, 3)))
                 elif weight.requires_grad or bias.requires_grad:
-                    # One GEMM per all-tap tile of output frames; the ones
-                    # row makes gw's last row the bias gradient.
-                    g3 = g4.reshape(n, o, rows)
-                    gw = np.zeros((kb, o), dtype=rtype)
-                    tmp_w = np.empty_like(gw)
-                    y_all = np.empty((kb, tile * fo), dtype=rtype)
-                    y_all[k:] = 1
-                    for s in range(n):
-                        for u0 in range(0, to, tile):
-                            u1 = min(u0 + tile, to)
-                            _lower(win[s], u0, u1, y_all)
-                            r = (u1 - u0) * fo
-                            np.matmul(y_all[:, :r], g3[s, :, u0 * fo : u1 * fo].T, out=tmp_w)
-                            gw += tmp_w
-                    weight._accumulate(gw[:k].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
+                    gw = _conv_all_taps_wgrad(_tap_windows(self.data, kt, kf, dilation), g)
+                    weight._accumulate(gw[:-1].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
                     bias._accumulate(gw[-1])
-                wgrad = groups > 1 and weight.requires_grad
-                if not (wgrad or self.requires_grad):
-                    return
-                # Tiles of input frames u0:u1 and their time-tap-stacked
-                # output gradient G (see the docstring). gw is gW_st = G @ Y,
-                # not its transpose Y^T @ G^T, which ran 7-14 % slower at the
-                # blocks 2-3 tile shapes (one BLAS thread).
-                ti = min(_TILE_FRAMES, t)
-                g_buf = np.empty(kt * o * ti * fo, dtype=rtype)
-                y_buf = np.empty(kf * c * ti * fo, dtype=rtype)
-                if wgrad:
-                    gw = np.zeros((kt * o, kf * c), dtype=rtype)
-                    tmp_w = np.empty_like(gw)
-                if self.requires_grad:
-                    # W_st (kf*c, kt*o): block i is tap i's W^T.
-                    w_st = w_aug[:-1].reshape(kt, kf * c, o).transpose(1, 0, 2).reshape(kf * c, -1)
-                    gx = np.empty((n, c, t, f), dtype=rtype)
-                for s in range(n):
-                    for u0 in range(0, t, ti):
-                        u1 = min(u0 + ti, t)
-                        m = u1 - u0
-                        g_t = g_buf[: kt * o * m * fo].reshape(kt, o, m, fo)
-                        for i in range(kt):
-                            d = u0 - i * rt  # output frame of G's first column
-                            lo = min(max(-d, 0), m)
-                            hi = max(min(to - d, m), lo)
-                            g_t[i, :, :lo] = 0
-                            g_t[i, :, lo:hi] = g4[s, :, d + lo : d + hi]
-                            g_t[i, :, hi:] = 0
-                        g2 = g_t.reshape(kt * o, m * fo)
-                        y = y_buf[: kf * c * m * fo].reshape(kf * c, m * fo)
-                        if wgrad:
-                            _lower(win[s], u0, u1, y)
-                            np.matmul(g2, y.T, out=tmp_w)
-                            gw += tmp_w
-                        if self.requires_grad:
-                            np.matmul(w_st, g2, out=y)
-                            dy4 = y.reshape(kf, c, m, fo)
-                            gxs = gx[s, :, u0:u1]
-                            gxs[:, :, :fo] = dy4[0]
-                            gxs[:, :, fo:] = 0
-                            for j in range(1, kf):
-                                gxs[:, :, j * rf : j * rf + fo] += dy4[j]
-                if wgrad:
-                    weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
-                if self.requires_grad:
-                    self._accumulate(gx)
+                if wgrad or self.requires_grad:
+                    gw, gx = _conv_stacked_backward(freq_taps, g, w_aug, dilation, wgrad, self.requires_grad)
+                    if wgrad:
+                        weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
+                    self._accumulate(gx)  # None only when self needs no gradient
             out._backward = _backward
         return out
 

@@ -212,9 +212,11 @@ def test_conv2d_long_input_grads(c, o, kt, kf, dilation):
 
 # The backward's input tiles (and the forward's output tiles) at 1, 5 and 32
 # frames. Cases: (c_in, c_out, kt, kf, dilation, output frames), the
-# c_in > 1 rows of TILE_CASES plus a 23-frame input whose (kt-1)*rt = 14
-# halo frames are wider than a 5-frame tile.
-TILE_GRAD_CASES = [(*case, 101) for case in TILE_CASES if case[0] > 1] + [(2, 3, 3, 2, (7, 1), 9)]
+# c_in > 1 rows of TILE_CASES, a 23-frame input whose (kt-1)*rt = 14 halo
+# frames are wider than a 5-frame tile, then the c_in = 1 rows, which check
+# block 1's all-tap weight gradient and the one-channel input gradient.
+TILE_GRAD_CASES = ([(*case, 101) for case in TILE_CASES if case[0] > 1] + [(2, 3, 3, 2, (7, 1), 9)]
+                   + [(*case, 101) for case in TILE_CASES if case[0] == 1])
 TILE_GRAD_FRAMES = (1, 5, 32)
 
 
@@ -252,6 +254,45 @@ def test_conv2d_tiled_backward_grads(monkeypatch, c, o, kt, kf, dilation, to, ti
             "m": RNG.standard_normal((1, o, to, 2)),
         },
     )
+
+
+# The model's block-1 geometry and one of blocks 2-3: (c_in, c_out, kt, kf,
+# dilation).
+RECOMPUTE_CASES = [(1, 16, 7, 7, (1, 1)), (16, 32, 5, 5, (2, 1))]
+
+
+@pytest.mark.parametrize("tile", TILE_GRAD_FRAMES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation", RECOMPUTE_CASES)
+def test_conv_kernels_recompute_one_sample_bit_for_bit(monkeypatch, c, o, kt, kf, dilation, tile):
+    # A forward kernel called on one sample's windows gives the bytes of that
+    # sample in the batch output, and `_conv_stacked_backward` that sample's
+    # bytes of the batch input gradient: a per-sample recompute inside another
+    # op's backward keeps checkpoints byte-identical. Every kernel must size
+    # its tiles by `_TILE_FRAMES` as it reads when called.
+    monkeypatch.setattr(autograd, "_TILE_FRAMES", tile)
+    sizes = []
+    tiles = autograd._tiles
+    monkeypatch.setattr(autograd, "_tiles", lambda frames, size: sizes.append(size) or tiles(frames, size))
+    rt, rf = dilation
+    n, t, f = 3, (kt - 1) * rt + 40, (kf - 1) * rf + 12
+    x = Tensor(RNG.standard_normal((n, c, t, f)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.standard_normal((o, c, kt, kf)).astype(np.float32), requires_grad=True)
+    b = Tensor(RNG.standard_normal(o).astype(np.float32), requires_grad=True)
+    out = x.conv2d(w, b, dilation)
+    g = RNG.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()  # hands conv2d g as its output gradient
+    w_aug = np.concatenate([w.data.transpose(2, 3, 1, 0).reshape(-1, o), b.data[None]])
+    for s in range(n):
+        x1 = x.data[s : s + 1]
+        freq_taps = autograd._tap_windows(x1, 1, kf, dilation)
+        if c == 1:
+            y = autograd._conv_all_taps(autograd._tap_windows(x1, kt, kf, dilation), w_aug)
+        else:
+            y = autograd._conv_freq_taps(freq_taps, w_aug, rt)
+        assert y.tobytes() == out.data[s : s + 1].tobytes()
+        _, gx = autograd._conv_stacked_backward(freq_taps, g[s : s + 1], w_aug, dilation, False, True)
+        assert gx.tobytes() == x.grad[s : s + 1].tobytes()
+    assert set(sizes) == {tile}
 
 
 def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
