@@ -48,15 +48,30 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# Frames per conv2d tile: output frames in the forwards and block 1's weight
-# gradient, input frames in `_conv_stacked_backward`. Short enough that a tile's
-# channels-first lowering and its GEMM results stay in cache, long enough
-# that each GEMM keeps BLAS busy. On a 10 s clip with one BLAS thread, the
-# nine conv forwards took about as long with tiles of 32 and 64 frames, and
-# longer with 16 (+45 %) or 128 (+13 %); at the 32 x 6 s training shapes the
-# blocks 2-3 backward took as long at 64 frames as at 32, and 6 % longer at
-# 16. 32 keeps the buffers small.
+# Frames per tile of the backward kernels: output frames in block 1's weight
+# gradient (`_conv_all_taps_wgrad`), input frames in `_conv_stacked_backward`.
+# Short enough that a tile's channels-first lowering and its GEMM results
+# stay in cache, long enough that each GEMM keeps BLAS busy. At the 32 x 6 s
+# training shapes with one BLAS thread, the blocks 2-3 backward took as long
+# at 64 frames as at 32, and 6 % longer at 16. The forward kernels size their
+# tiles by `_forward_tile` instead.
 _TILE_FRAMES = 32
+
+# The forward tile rule (`_forward_tile`). numpy's OpenBLAS (0.3.31) on an
+# AVX-512 host runs its SkylakeX core, which hands an sgemm of at most 100^3
+# M*N*K MACs to its small-matrix kernels. With one BLAS thread a
+# (32 x 112) @ (112 x N) GEMM ran at 54 GMAC/s up to N = 279 (999,936 MACs)
+# and at 37 from N = 280; (16 x 50) @ (50 x N) at 53 up to N = 1250 and at
+# 32 from 1251. So a tile takes the most output frames, capped at 64, whose
+# GEMM stays within the cutoff. Block 3's GEMMs would then get 65-156
+# columns, and its forwards ran 2-29 % slower at such tiles than at 32
+# frames, so a GEMM of fewer than 256 columns keeps 32-frame tiles. On a core
+# without the small kernels (OPENBLAS_CORETYPE=Haswell) the rule's tiles ran
+# the nine forwards of a 10 s clip 6 % slower than 32-frame tiles did.
+_SMALL_GEMM_MACS = 100**3
+_MAX_TILE_FRAMES = 64
+_MIN_TILE_COLUMNS = 256
+_FALLBACK_TILE_FRAMES = 32
 
 # Input bytes per tile of the fused conv-block tail: `bn_relu_pool`'s forward
 # and backward and the training-mode batch statistics (`_bn_stats`) all walk
@@ -93,9 +108,19 @@ def _tiles(frames: int, tile: int) -> list[tuple[int, int]]:
     return [(u0, min(u0 + tile, frames)) for u0 in range(0, frames, tile)]
 
 
+def _forward_tile(o: int, k: int, fo: int) -> int:
+    """Output frames per tile of a forward kernel whose GEMMs are
+    (o x k) @ (k x frames*fo): the most frames, up to `_MAX_TILE_FRAMES`,
+    whose GEMM stays within `_SMALL_GEMM_MACS`, if that gives a GEMM at
+    least `_MIN_TILE_COLUMNS` columns, else `_FALLBACK_TILE_FRAMES`."""
+    frames = min(_MAX_TILE_FRAMES, _SMALL_GEMM_MACS // (o * k * fo))
+    return frames if frames * fo >= _MIN_TILE_COLUMNS else _FALLBACK_TILE_FRAMES
+
+
 # The conv kernels. Each runs one algorithm over a batch of windows from
-# `_tap_windows` and allocates its tile scratch once per call, sized by
-# `_TILE_FRAMES` as it reads when called, so one sample's recompute is one
+# `_tap_windows` and allocates its tile scratch once per call, sized when
+# called by `_forward_tile` (forwards) or `_TILE_FRAMES` (backwards) from
+# shapes that do not depend on the batch, so one sample's recompute is one
 # call on win[s:s+1] and gives that sample's bytes of the batch call. W_aug
 # is W^T with the bias as its last row, (kt*kf*c + 1, o), rows in the
 # lowering's (kt, kf, c) order.
@@ -106,7 +131,9 @@ def _conv_all_taps(win: np.ndarray, w_aug: np.ndarray) -> np.ndarray:
     (the im2col of Chellapilla, Puri & Simard, 2006), so a tile of output
     frames is one GEMM, W_aug^T @ Y^T, whose Y^T ends in a row of ones for
     the bias, written by BLAS straight into the (n, o, to, fo) output.
-    Scratch: one tile's lowering, (kt*kf + 1, tile*fo).
+    A tile holds `_forward_tile(o, kt*kf + 1, fo)` frames: 64, 40 and 21
+    for the model's 3 x 3, 5 x 5 and 7 x 7 block 1. Scratch: one tile's
+    lowering, (kt*kf + 1, tile*fo).
 
     OpenBLAS gets W_aug^T as the transposed view w_aug.T: with a contiguous
     operand it sends small tiles to a small-matrix kernel that sums in
@@ -114,7 +141,7 @@ def _conv_all_taps(win: np.ndarray, w_aug: np.ndarray) -> np.ndarray:
     tile it falls in."""
     n, _, _, _, to, fo = win.shape
     out = np.empty((n, w_aug.shape[1], to * fo), dtype=w_aug.dtype)
-    tile = min(_TILE_FRAMES, to)
+    tile = min(_forward_tile(w_aug.shape[1], len(w_aug), fo), to)
     y = np.ones((len(w_aug), tile * fo), dtype=w_aug.dtype)  # `_lower` keeps the last row
     for s in range(n):
         for u0, u1 in _tiles(to, tile):
@@ -132,7 +159,9 @@ def _conv_freq_taps(win: np.ndarray, w_aug: np.ndarray, rt: int) -> np.ndarray:
     transposed view of w_aug as in `_conv_all_taps`, adds the bias and
     copies the tile into the (n, o, to, fo) output. It sums in contiguous
     (o, tile*fo) buffers: numpy's in-place adds run several times slower on
-    a strided view of the output. Scratch: one tile's lowering with its
+    a strided view of the output. A tile holds `_forward_tile(o, kf*c, fo)`
+    frames: 22, 15 and 12 for the model's 3 x 3, 5 x 5 and 7 x 7 block 2,
+    and 32 for block 3. Scratch: one tile's lowering with its
     (kt-1)*rt halo frames, (kf*c, (tile + (kt-1)*rt)*fo), and two
     tile-sized GEMM results."""
     n, _, kf, c, t, fo = win.shape
@@ -141,7 +170,7 @@ def _conv_freq_taps(win: np.ndarray, w_aug: np.ndarray, rt: int) -> np.ndarray:
     halo = (kt - 1) * rt
     to = t - halo
     out = np.empty((n, o, to * fo), dtype=w_aug.dtype)
-    tile = min(_TILE_FRAMES, to)
+    tile = min(_forward_tile(o, k, fo), to)
     y = np.empty((k, (tile + halo) * fo), dtype=w_aug.dtype)
     acc, tmp = np.empty((2, o, tile * fo), dtype=w_aug.dtype)
     for s in range(n):
@@ -519,11 +548,13 @@ class Tensor:
         Output: (n, o, t - (kt-1)*rt, f - (kf-1)*rf).
 
         Both passes lower window views of the input (`_tap_windows`) one
-        tile of `_TILE_FRAMES` frames at a time (Anderson et al.,
-        arXiv:1709.03395), and lower again in backward instead of keeping a
-        lowering in the graph. With one input channel the forward is
-        `_conv_all_taps` and the weight and bias gradient
-        `_conv_all_taps_wgrad`. With several, the forward is
+        short tile of frames at a time (Anderson et al., arXiv:1709.03395),
+        and lower again in backward instead of keeping a lowering in the
+        graph. A forward tile is as long as `_forward_tile` lets its GEMMs
+        stay within OpenBLAS's small-matrix cutoff, and the output's bits
+        do not depend on it; a backward tile is `_TILE_FRAMES` frames. With
+        one input channel the forward is `_conv_all_taps` and the weight and
+        bias gradient `_conv_all_taps_wgrad`. With several, the forward is
         `_conv_freq_taps`, the bias gradient sums the output gradient and
         the weight gradient is `_conv_stacked_backward`'s. That kernel gives
         every input gradient.
@@ -541,11 +572,10 @@ class Tensor:
         w_aug = np.empty((kt * kf * c + 1, o), dtype=np.result_type(self.data.dtype, weight.data.dtype))
         w_aug[:-1] = weight.data.transpose(2, 3, 1, 0).reshape(-1, o)
         w_aug[-1] = bias.data
-        freq_taps = _tap_windows(self.data, 1, kf, dilation)
         if c == 1:
             out_data = _conv_all_taps(_tap_windows(self.data, kt, kf, dilation), w_aug)
         else:
-            out_data = _conv_freq_taps(freq_taps, w_aug, rt)
+            out_data = _conv_freq_taps(_tap_windows(self.data, 1, kf, dilation), w_aug, rt)
         out = Tensor._make(out_data, (self, weight, bias))
         if out.requires_grad:
             def _backward():
@@ -558,7 +588,8 @@ class Tensor:
                     weight._accumulate(gw[:-1].reshape(kt, kf, c, o).transpose(3, 2, 0, 1))
                     bias._accumulate(gw[-1])
                 if wgrad or self.requires_grad:
-                    gw, gx = _conv_stacked_backward(freq_taps, g, w_aug, dilation, wgrad, self.requires_grad)
+                    gw, gx = _conv_stacked_backward(_tap_windows(self.data, 1, kf, dilation), g, w_aug,
+                                                    dilation, wgrad, self.requires_grad)
                     if wgrad:
                         weight._accumulate(gw.reshape(kt, o, kf, c).transpose(1, 3, 0, 2))
                     self._accumulate(gx)  # None only when self needs no gradient

@@ -91,7 +91,12 @@ def test_avg_pool_floor_semantics():
         Tensor(np.zeros((1, 1, 1, 4))).avg_pool2d()
 
 
-@pytest.mark.parametrize("dilation", [(1, 1), (2, 1), (3, 2)])
+# Each conv case below names its own test id, so a case added anywhere
+# renames no other test. The ids are the names pytest first gave these cases
+# by list position (`dilationN`), kept so that recorded test lists still
+# name them; a new case's id should name its values instead.
+@pytest.mark.parametrize("dilation", [(1, 1), (2, 1), (3, 2)],
+                         ids=["dilation0", "dilation1", "dilation2"])
 def test_conv2d_grads(dilation):
     rt, rf = dilation
     kt = kf = 3
@@ -129,17 +134,22 @@ def test_conv2d_matches_naive_oracle_exhaustively():
 
 # A batch of 5 through the per-sample loops: c_in 1 and 3, kt != kf,
 # dilations (2, 1) and (3, 2), and the model's widest block-1 geometry.
-BATCH_CASES = [
-    # (c_in, c_out, kt, kf, dilation)
-    (1, 2, 3, 2, (2, 1)),
-    (3, 2, 2, 3, (3, 2)),
-    (3, 4, 3, 1, (2, 1)),
-    (1, 3, 1, 3, (3, 2)),
-    (1, 4, 7, 7, (1, 1)),
-]
+BATCH_CASES = {
+    # id: (c_in, c_out, kt, kf, dilation)
+    "1-2-3-2-dilation0": (1, 2, 3, 2, (2, 1)),
+    "3-2-2-3-dilation1": (3, 2, 2, 3, (3, 2)),
+    "3-4-3-1-dilation2": (3, 4, 3, 1, (2, 1)),
+    "1-3-1-3-dilation3": (1, 3, 1, 3, (3, 2)),
+    "1-4-7-7-dilation4": (1, 4, 7, 7, (1, 1)),
+}
 
 
-@pytest.mark.parametrize("c, o, kt, kf, dilation", BATCH_CASES)
+def _cases(cases):
+    """`pytest.mark.parametrize` keyword arguments for an {id: values} grid."""
+    return {"argvalues": list(cases.values()), "ids": list(cases)}
+
+
+@pytest.mark.parametrize("c, o, kt, kf, dilation", **_cases(BATCH_CASES))
 def test_conv2d_batch_matches_naive(c, o, kt, kf, dilation):
     rt, rf = dilation
     t = (kt - 1) * rt + 4
@@ -151,7 +161,7 @@ def test_conv2d_batch_matches_naive(c, o, kt, kf, dilation):
     assert rel_err(got, naive_conv2d(x, w, b, dilation)) < 1e-6
 
 
-@pytest.mark.parametrize("c, o, kt, kf, dilation", BATCH_CASES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation", **_cases(BATCH_CASES))
 def test_conv2d_batch_grads(c, o, kt, kf, dilation):
     rt, rf = dilation
     t = (kt - 1) * rt + 3
@@ -172,13 +182,13 @@ def test_conv2d_batch_grads(c, o, kt, kf, dilation):
 # time tiles split them several times with a partial last tile, and the kt
 # taps' halos cross tile edges: c_in 1 and 3, kt 3 and 5, dilation (3, 1),
 # and the model's widest block-1 geometry (c_in 1, 7 x 7).
-TILE_CASES = [
-    # (c_in, c_out, kt, kf, dilation)
-    (1, 2, 3, 2, (3, 1)),
-    (3, 2, 5, 3, (1, 1)),
-    (3, 3, 5, 1, (3, 1)),
-    (1, 4, 7, 7, (1, 1)),
-]
+TILE_CASES = {
+    # id: (c_in, c_out, kt, kf, dilation)
+    "1-2-3-2-dilation0": (1, 2, 3, 2, (3, 1)),
+    "3-2-5-3-dilation1": (3, 2, 5, 3, (1, 1)),
+    "3-3-5-1-dilation2": (3, 3, 5, 1, (3, 1)),
+    "1-4-7-7-dilation3": (1, 4, 7, 7, (1, 1)),
+}
 
 
 def _long_input_shape(n, c, kt, kf, dilation):
@@ -186,7 +196,7 @@ def _long_input_shape(n, c, kt, kf, dilation):
     return n, c, (kt - 1) * rt + 101, (kf - 1) * rf + 2
 
 
-@pytest.mark.parametrize("c, o, kt, kf, dilation", TILE_CASES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation", **_cases(TILE_CASES))
 def test_conv2d_long_input_matches_naive(c, o, kt, kf, dilation):
     x = RNG.standard_normal(_long_input_shape(2, c, kt, kf, dilation))
     w = RNG.standard_normal((o, c, kt, kf))
@@ -196,7 +206,7 @@ def test_conv2d_long_input_matches_naive(c, o, kt, kf, dilation):
     assert rel_err(got, naive_conv2d(x, w, b, dilation)) < 1e-6
 
 
-@pytest.mark.parametrize("c, o, kt, kf, dilation", TILE_CASES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation", **_cases(TILE_CASES))
 def test_conv2d_long_input_grads(c, o, kt, kf, dilation):
     n, _, t, f = _long_input_shape(2, c, kt, kf, dilation)
     check_grads(
@@ -210,13 +220,19 @@ def test_conv2d_long_input_grads(c, o, kt, kf, dilation):
     )
 
 
-# The backward's input tiles (and the forward's output tiles) at 1, 5 and 32
-# frames. Cases: (c_in, c_out, kt, kf, dilation, output frames), the
-# c_in > 1 rows of TILE_CASES, a 23-frame input whose (kt-1)*rt = 14 halo
-# frames are wider than a 5-frame tile, then the c_in = 1 rows, which check
-# block 1's all-tap weight gradient and the one-channel input gradient.
-TILE_GRAD_CASES = ([(*case, 101) for case in TILE_CASES if case[0] > 1] + [(2, 3, 3, 2, (7, 1), 9)]
-                   + [(*case, 101) for case in TILE_CASES if case[0] == 1])
+# The backward's input tiles and the forward's output tiles at 1, 5 and 32
+# frames. Cases: the c_in > 1 rows of TILE_CASES, a 23-frame input whose
+# (kt-1)*rt = 14 halo frames are wider than a 5-frame tile, then the
+# c_in = 1 rows, which check block 1's all-tap weight gradient and the
+# one-channel input gradient.
+TILE_GRAD_CASES = {
+    # id: (c_in, c_out, kt, kf, dilation, output frames)
+    "3-2-5-3-dilation0-101": (3, 2, 5, 3, (1, 1), 101),
+    "3-3-5-1-dilation1-101": (3, 3, 5, 1, (3, 1), 101),
+    "2-3-3-2-dilation2-9": (2, 3, 3, 2, (7, 1), 9),
+    "1-2-3-2-dilation3-101": (1, 2, 3, 2, (3, 1), 101),
+    "1-4-7-7-dilation4-101": (1, 4, 7, 7, (1, 1), 101),
+}
 TILE_GRAD_FRAMES = (1, 5, 32)
 
 
@@ -233,16 +249,18 @@ def _tile_edges(t, to, kt, rt, tile):
 
 def test_tile_grad_cases_meet_every_tile_edge():
     met = set()
-    for _, _, kt, _, (rt, _), to in TILE_GRAD_CASES:
+    assert {case[:5] for case in TILE_GRAD_CASES.values() if case[5] == 101} == set(TILE_CASES.values())
+    for _, _, kt, _, (rt, _), to in TILE_GRAD_CASES.values():
         for tile in TILE_GRAD_FRAMES:
             met |= {edge for edge, hit in _tile_edges((kt - 1) * rt + to, to, kt, rt, tile).items() if hit}
     assert met == {"partial", "empty", "short"}
 
 
 @pytest.mark.parametrize("tile", TILE_GRAD_FRAMES)
-@pytest.mark.parametrize("c, o, kt, kf, dilation, to", TILE_GRAD_CASES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation, to", **_cases(TILE_GRAD_CASES))
 def test_conv2d_tiled_backward_grads(monkeypatch, c, o, kt, kf, dilation, to, tile):
     monkeypatch.setattr(autograd, "_TILE_FRAMES", tile)
+    monkeypatch.setattr(autograd, "_forward_tile", lambda o, k, fo: tile)
     rt, rf = dilation
     t, f = (kt - 1) * rt + to, (kf - 1) * rf + 2
     check_grads(
@@ -258,18 +276,19 @@ def test_conv2d_tiled_backward_grads(monkeypatch, c, o, kt, kf, dilation, to, ti
 
 # The model's block-1 geometry and one of blocks 2-3: (c_in, c_out, kt, kf,
 # dilation).
-RECOMPUTE_CASES = [(1, 16, 7, 7, (1, 1)), (16, 32, 5, 5, (2, 1))]
+RECOMPUTE_CASES = {"1-16-7-7-dilation0": (1, 16, 7, 7, (1, 1)), "16-32-5-5-dilation1": (16, 32, 5, 5, (2, 1))}
 
 
 @pytest.mark.parametrize("tile", TILE_GRAD_FRAMES)
-@pytest.mark.parametrize("c, o, kt, kf, dilation", RECOMPUTE_CASES)
+@pytest.mark.parametrize("c, o, kt, kf, dilation", **_cases(RECOMPUTE_CASES))
 def test_conv_kernels_recompute_one_sample_bit_for_bit(monkeypatch, c, o, kt, kf, dilation, tile):
     # A forward kernel called on one sample's windows gives the bytes of that
     # sample in the batch output, and `_conv_stacked_backward` that sample's
     # bytes of the batch input gradient: a per-sample recompute inside another
     # op's backward keeps checkpoints byte-identical. Every kernel must size
-    # its tiles by `_TILE_FRAMES` as it reads when called.
+    # its tiles by `_forward_tile` or `_TILE_FRAMES` as it reads when called.
     monkeypatch.setattr(autograd, "_TILE_FRAMES", tile)
+    monkeypatch.setattr(autograd, "_forward_tile", lambda o, k, fo: tile)
     sizes = []
     tiles = autograd._tiles
     monkeypatch.setattr(autograd, "_tiles", lambda frames, size: sizes.append(size) or tiles(frames, size))
@@ -298,19 +317,23 @@ def test_conv_kernels_recompute_one_sample_bit_for_bit(monkeypatch, c, o, kt, kf
 def test_conv2d_forward_scratch_is_a_fraction_of_one_lowering():
     # A no-grad forward lowers a few frames at a time, straight from the
     # channels-first input: beyond its output it holds one tile's lowering
-    # and two tile-sized GEMM buffers (0.16 lowerings here), not a
-    # channels-last copy of the sample (0.38) nor the sample's whole (kf, c)
-    # lowering plus a full-size GEMM result.
+    # and two tile-sized GEMM buffers, at the tile `_forward_tile` picks
+    # (64 frames, 0.29 lowerings here), not a channels-last copy of the
+    # sample (0.38) nor the sample's whole (kf, c) lowering plus a full-size
+    # GEMM result.
     c, o, kt, kf, dilation = 3, 4, 3, 5, (2, 1)
     t, f = 400, 40
     fo = f - (kf - 1) * dilation[1]
     lowering = t * fo * kf * c * 8
+    tile = autograd._forward_tile(o, kf * c, fo)
+    tile_scratch = (kf * c * (tile + (kt - 1) * dilation[0]) + 2 * o * tile) * fo * 8
+    assert tile_scratch < 0.3 * lowering
     x = Tensor(RNG.standard_normal((1, c, t, f)))
     w = Tensor(RNG.standard_normal((o, c, kt, kf)))
     b = Tensor(RNG.standard_normal(o))
     with TracedMemory() as mem, no_grad():
         out = x.conv2d(w, b, dilation)
-    assert mem.peak - out.data.nbytes < 0.25 * lowering
+    assert mem.peak - out.data.nbytes < 1.25 * tile_scratch
 
 
 def _conv2d_scratch(n, t):
@@ -350,25 +373,29 @@ def test_conv2d_backward_scratch_does_not_grow_with_sample_length():
 
 def test_conv2d_one_channel_scratch_is_one_tile_lowering():
     # With one input channel a tile lowers all kt*kf taps and a ones row,
-    # (kt*kf + 1, tile*fo). A no-grad forward and the weight-gradient
-    # backward each hold about one such tile beyond their outputs and
-    # gradients (1.02 here), not a sample's whole (kt*kf, t*fo) lowering
-    # (12.1) nor its whole kf-only lowering (1.76).
+    # (kt*kf + 1, tile*fo). A no-grad forward holds about one such tile of
+    # the frames `_forward_tile` picks (64 here) beyond its output, and the
+    # weight-gradient backward one of `_TILE_FRAMES` frames beyond the
+    # gradients. Neither holds a sample's whole (kt*kf, to*fo) lowering (6.0
+    # and 12.1 such tiles).
     o, kt, kf = 4, 7, 7
     t, f = 400, 40
     fo = f - kf + 1
-    tile_lowering = (kt * kf + 1) * autograd._TILE_FRAMES * fo * 8
+
+    def tile_lowering(frames):
+        return (kt * kf + 1) * frames * fo * 8
+
     x = Tensor(RNG.standard_normal((2, 1, t, f)))
     w = Tensor(RNG.standard_normal((o, 1, kt, kf)), requires_grad=True)
     b = Tensor(RNG.standard_normal(o), requires_grad=True)
     with TracedMemory() as mem, no_grad():
         out = x.conv2d(w, b)
-    assert mem.peak - out.data.nbytes < 1.25 * tile_lowering
+    assert mem.peak - out.data.nbytes < 1.25 * tile_lowering(autograd._forward_tile(o, kt * kf + 1, fo))
+    loss = x.conv2d(w, b).sum()
     with TracedMemory() as mem:
-        out = x.conv2d(w, b)
-        out.sum().backward()
-    grads = w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. out.grad
-    assert mem.peak < out.data.nbytes + grads + 1.25 * tile_lowering
+        loss.backward()
+    grads = w.grad.nbytes + b.grad.nbytes + out.data.nbytes  # incl. the output's gradient
+    assert mem.peak < grads + 1.25 * tile_lowering(autograd._TILE_FRAMES)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])

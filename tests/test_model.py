@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from touch_audition import autograd
 from touch_audition.analysis import count_params, min_input_frames
 from touch_audition.autograd import cross_entropy, no_grad
-from touch_audition.data import TASK_CLASSES
+from touch_audition.data import TASK_CLASSES, target_frames
+from touch_audition.dsp import SAMPLE_RATE, num_frames
 from touch_audition.errors import (
     AudioFormatError,
     CheckpointFormatError,
@@ -173,9 +174,26 @@ def test_eval_logits_do_not_depend_on_tile_sizes(monkeypatch):
     expected = logits()
     for tile_frames in (1, 5, 32, 997):
         for tail_bytes in (1, 128 * 1024, 64 * 1024 * 1024):
-            monkeypatch.setattr(autograd, "_TILE_FRAMES", tile_frames)
+            monkeypatch.setattr(autograd, "_forward_tile", lambda o, k, fo: tile_frames)
             monkeypatch.setattr(autograd, "_TAIL_TILE_BYTES", tail_bytes)
             assert logits() == expected, (tile_frames, tail_bytes)
+
+
+@pytest.mark.parametrize("frames", [num_frames(10 * SAMPLE_RATE), target_frames(6.0)],
+                         ids=["10s_clip", "6s_crop"])
+def test_forward_tiles_fit_the_small_gemm_cutoff(monkeypatch, frames):
+    # Each conv forward of a 10 s clip and of the 6 s training crop tiles by
+    # the frames `_forward_tile` picks from its GEMM's shape: the most, up to
+    # 64, whose GEMMs keep within OpenBLAS's 100^3-MAC small-matrix cutoff,
+    # or 32 where that would leave a GEMM under 256 columns (block 3).
+    sizes = []
+    tiles = autograd._tiles
+    monkeypatch.setattr(autograd, "_tiles", lambda frames, size: sizes.append(size) or tiles(frames, size))
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+    with no_grad():
+        model.forward(small_input(frames, n=1))
+    # Branches k = 3, 5, 7, each blocks 1-3.
+    assert sizes == [64, 22, 32, 40, 15, 32, 21, 12, 32]
 
 
 def test_checkpoint_round_trip(tmp_path):
