@@ -80,6 +80,17 @@ _FALLBACK_TILE_FRAMES = 32
 # elements, so that a tile and the float64 scratch built from it stay in
 # cache whatever the dtype. At the 32 x 6 s training shapes with one BLAS
 # thread, tiles of 64, 256 and 512 KB were no faster.
+#
+# The tail's scratch is one tile in each direction, plus half a tile for the
+# backward's unpooled rows. numpy 2.4 gives a ufunc an 8192-element buffer
+# (32 KB in float32) for each operand that is row-strided, such as a tile's
+# even rows, but none for a column-strided one or for `np.copyto` from the
+# same view. So the forward copies each tile's even and odd rows into the
+# two halves of its buffer and does all its arithmetic on contiguous or
+# column-strided arrays. At a one-channel float64 tile, a no-grad forward
+# that summed row pairs from strided views of the rectified tile into a
+# half-tile row buffer held 0.63 of x beyond its output; copying the even
+# rows and adding the odd ones held 0.50; the split copy holds 0.26.
 _TAIL_TILE_BYTES = 128 * 1024
 
 
@@ -331,13 +342,6 @@ def _bn_fold(gamma, beta, mu, var):
     return inv_std, scale, beta - mu * scale
 
 
-def _bn_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x * scale + shift per channel, built in `out`."""
-    h = np.multiply(x, _channel(scale), out=out)
-    h += _channel(shift)
-    return h
-
-
 def _pooled_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     """(n, c, t // 2, f // 2): 2x2 pooling drops an odd trailing row or
     column (floor semantics) and needs both spatial dims >= 2."""
@@ -347,35 +351,12 @@ def _pooled_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     return (*shape[:2], t2, f2)
 
 
-def _pool2x2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2x2 average pooling, stride 2, over the last two axes, into `out` of
-    `_pooled_shape(x.shape)`."""
-    t2, f2 = _pooled_shape(x.shape)[2:]
-    out = np.add(x[:, :, 0 : t2 * 2 : 2, 0 : f2 * 2 : 2], x[:, :, 1 : t2 * 2 : 2, 0 : f2 * 2 : 2],
-                 out=out)
-    out += x[:, :, 0 : t2 * 2 : 2, 1 : f2 * 2 : 2]
-    out += x[:, :, 1 : t2 * 2 : 2, 1 : f2 * 2 : 2]
-    out *= 0.25
-    return out
-
-
-def _unpool2x2(grad: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Backward of `_pool2x2`: fills the input-shaped buffer g with
-    grad * 0.25 in each window's four cells and zeros in a dropped odd row
-    or column."""
-    t2, f2 = grad.shape[2], grad.shape[3]
-    spread = grad * 0.25
-    # Each window's row, built contiguous and copied into both of its rows:
-    # two strided writes of single cells instead of four.
-    rows = np.empty((*grad.shape, 2), dtype=g.dtype)
-    rows[..., 0] = spread
-    rows[..., 1] = spread
-    rows = rows.reshape(*grad.shape[:3], 2 * f2)
-    g[:, :, 0 : t2 * 2 : 2, : f2 * 2] = rows
-    g[:, :, 1 : t2 * 2 : 2, : f2 * 2] = rows
-    g[:, :, t2 * 2 :] = 0
-    g[:, :, :, f2 * 2 :] = 0
-    return g
+def _pool_windows(a: np.ndarray) -> np.ndarray:
+    """The (..., t // 2, 2, f // 2, 2) view of a (..., t, f)'s whole 2x2
+    pooling windows; an odd trailing row or column is left out. Splitting
+    an axis never needs a copy, so writes to the view land in a."""
+    t2, f2 = a.shape[-2] // 2, a.shape[-1] // 2
+    return a[..., : 2 * t2, : 2 * f2].reshape(*a.shape[:-2], t2, 2, f2, 2)
 
 
 class Tensor:
@@ -646,69 +627,99 @@ class Tensor:
         keeps only the input (this op's parent) and per-channel vectors, and
         no pass holds a full-size array besides the input gradient. Every
         pass walks x in the batch statistics' tiles, whole channels of one
-        sample (`_channel_groups`). Forward normalizes, rectifies and pools
-        one tile at a time in one reused buffer. Backward recomputes from
-        the input (Chen et al., arXiv:1604.06174) in two passes. The first
-        rebuilds the ReLU mask with the forward's expression, so it has the
-        same bits, writes the unpooled, masked gradient gp into the input
-        gradient, and sums gp (d beta) and gp * (x - mean) per channel. The
-        second turns gp into the input gradient in place: scale * gp, less
-        scale * (d beta + inv_std * d gamma * (x - mean)) / m in training
-        mode, for the m values per channel.
+        sample (`_channel_groups`).
+
+        With `_bn_fold`'s per-channel scale s and shift b, relu(s*x + b) =
+        max(s*x, -b) + b, and the pool's 1/4 folds into both terms: q = s/4
+        and the clamp -b/4. Scaling by a power of two is exact outside the
+        subnormal range, so x*q is (x*s)/4 to the bit. Forward, one tile at a
+        time: copy the tile's whole windows into one buffer, even rows in one
+        half and odd rows in the other; take h = max(x*q, -b/4) there; add
+        the halves (the row pairs, contiguous), then the column pairs; add b
+        to the quarter-size output. A window whose four cells are all
+        clamped sums to exactly -b and pools to 0.0, and rounding is
+        monotone, so no output is negative.
+
+        Backward recomputes from the input (Chen et al., arXiv:1604.06174)
+        in two passes. The first takes the ReLU mask as x*q > -b/4. That is
+        the forward's own active set, and it has the bits of s*x + b > 0,
+        since a rounded sum is positive exactly when the exact sum is. It
+        writes the masked, unpooled gradient gp into the input gradient,
+        without the 1/4, which lives in q, and sums gp and gp * (x - mean)
+        per channel. The second turns gp into the input gradient in place:
+        q * gp in eval mode; q * gp - k * x + (k * mean - c) in training
+        mode, where k and c carry d gamma and d beta over the m values per
+        channel.
         """
         x = self.data
         mu, var = _bn_stats(x, running_mean, running_var, training)
         inv_std, scale, shift = (
             v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var)
         )
+        # Per-channel (c, 1, 1) columns, broadcast over one sample's tile.
+        q = (0.25 * scale).reshape(-1, 1, 1)
+        b = shift.reshape(-1, 1, 1)
+        clamp = -0.25 * b
         mu = mu.astype(x.dtype, copy=False)
         n, c, t, f = x.shape
         out_data = np.empty(_pooled_shape(x.shape), dtype=x.dtype)
+        t2, f2 = out_data.shape[2:]
         groups = _channel_groups(x)
-        h_buf = np.empty((1, groups[0][1], t, f), dtype=x.dtype)
+        # One tile's whole windows, (2, channels, t2, f2, 2): its even rows,
+        # then its odd rows.
+        h_buf = np.empty(groups[0][1] * t2 * f2 * 4, dtype=x.dtype)
         for s in range(n):
             for c0, c1 in groups:
-                h = _bn_affine(x[s : s + 1, c0:c1], scale[c0:c1], shift[c0:c1],
-                               out=h_buf[:, : c1 - c0])
-                np.maximum(h, 0, out=h)
-                _pool2x2(h, out=out_data[s : s + 1, c0:c1])
+                h = h_buf[: (c1 - c0) * t2 * f2 * 4].reshape(2, c1 - c0, t2, f2, 2)
+                np.copyto(h, _pool_windows(x[s, c0:c1]).transpose(2, 0, 1, 3, 4))
+                np.multiply(h, q[c0:c1, None], out=h)
+                np.maximum(h, clamp[c0:c1, None], out=h)
+                rows = np.add(h[0], h[1], out=h[0])
+                pooled = out_data[s, c0:c1]
+                np.add(rows[..., 0], rows[..., 1], out=pooled)
+                pooled += b[c0:c1]
         out = Tensor._make(out_data, (self, gamma, beta))
         if out.requires_grad:
             def _backward():
                 gx = np.empty_like(x)
-                gbeta = np.zeros(c)  # sum gp, then d beta
-                gxc = np.zeros(c)  # sum gp * (x - mean)
-                h_buf = np.empty((1, groups[0][1], t, f), dtype=x.dtype)
+                sums = np.zeros((2, c))  # sum gp, sum gp * (x - mean)
+                h_buf = np.empty(groups[0][1] * t * f, dtype=x.dtype)
+                row_buf = np.empty(groups[0][1] * t2 * f2 * 2, dtype=x.dtype)
                 ones = np.ones(t * f, dtype=x.dtype)
+                mean = mu.reshape(-1, 1, 1)
                 for s in range(n):
                     for c0, c1 in groups:
-                        xs, gp = x[s : s + 1, c0:c1], gx[s : s + 1, c0:c1]
-                        h = _bn_affine(xs, scale[c0:c1], shift[c0:c1], out=h_buf[:, : c1 - c0])
-                        np.greater(h, 0, out=h)  # the ReLU mask, as 1.0 / 0.0
-                        _unpool2x2(out.grad[s : s + 1, c0:c1], gp)
+                        xs, gp = x[s, c0:c1], gx[s, c0:c1]
+                        h = np.multiply(xs, q[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
+                        np.greater(h, clamp[c0:c1], out=h)  # the ReLU mask, as 1.0 / 0.0
+                        # Unpool: each window's row of gradients, built
+                        # contiguous, then copied into both of its rows.
+                        rows = row_buf[: (c1 - c0) * t2 * f2 * 2].reshape(c1 - c0, t2, 1, f2, 2)
+                        rows[..., 0] = rows[..., 1] = out.grad[s, c0:c1, :, None]
+                        np.copyto(_pool_windows(gp), rows)
+                        gp[:, 2 * t2 :] = 0
+                        gp[:, :, 2 * f2 :] = 0
                         gp *= h
                         # Per-channel sums as BLAS products, two to four times
                         # faster than numpy's pairwise sum on these rows.
                         gp2 = gp.reshape(c1 - c0, -1)
-                        h2 = np.subtract(xs, _channel(mu[c0:c1]), out=h).reshape(c1 - c0, -1)
-                        gbeta[c0:c1] += gp2 @ ones
-                        gxc[c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
-                ggamma = gxc * inv_std
+                        h2 = np.subtract(xs, mean[c0:c1], out=h).reshape(c1 - c0, -1)
+                        sums[0, c0:c1] += gp2 @ ones
+                        sums[1, c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
+                        if not training:
+                            gp *= q[c0:c1]
+                gbeta, ggamma = 0.25 * sums[0], 0.25 * sums[1] * inv_std
                 if training:
                     m = n * t * f
-                    k = _channel((scale * inv_std * ggamma / m).astype(x.dtype))
-                    b = _channel((scale * gbeta / m).astype(x.dtype))
+                    k = scale * inv_std * ggamma / m
+                    kc = (k * mu - scale * gbeta / m).astype(x.dtype).reshape(-1, 1, 1)
+                    k = k.astype(x.dtype).reshape(-1, 1, 1)
                     for s in range(n):
                         for c0, c1 in groups:
-                            gp = gx[s : s + 1, c0:c1]
-                            gp *= _channel(scale[c0:c1])
-                            h = np.subtract(x[s : s + 1, c0:c1], _channel(mu[c0:c1]),
-                                            out=h_buf[:, : c1 - c0])
-                            h *= k[:, c0:c1]
-                            h += b[:, c0:c1]
-                            gp -= h
-                else:
-                    gx *= _channel(scale)
+                            xs, gp = x[s, c0:c1], gx[s, c0:c1]
+                            gp *= q[c0:c1]
+                            gp -= np.multiply(xs, k[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
+                            gp += kc[c0:c1]
                 self._accumulate(gx)
                 gamma._accumulate(ggamma)
                 beta._accumulate(gbeta)

@@ -591,6 +591,77 @@ def test_bn_relu_pool_long_input_matches_unfused_composition(monkeypatch, traini
         assert np.array_equal(got, want)
 
 
+# Negative and zero gamma: q = gamma * inv_std / 4 changes sign or is 0, so
+# the clamp holds cells above the kink, or every cell of a channel.
+SIGNED_GAMMA = np.array([-0.8, 0.0, 0.0, 1.2])
+SIGNED_BETA = np.array([0.05, -0.07, 0.06, 0.03])
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_relu_pool_signed_gamma_matches_unfused_composition(training):
+    n, c, t, f = 2, 4, 9, 7
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((n, c, t, f)))
+    gamma, beta = Tensor(SIGNED_GAMMA), Tensor(SIGNED_BETA)
+    rm, rv = 0.1 * rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+    fused = x.bn_relu_pool(gamma, beta, rm.copy(), rv.copy(), training=training)
+    ref = x.batch_norm(gamma, beta, rm.copy(), rv.copy(), training=training).relu().avg_pool2d()
+    assert rel_err(fused.data, ref.data) < 1e-12
+    assert (fused.data[:, 0] > 0).any() and (fused.data[:, 0] == 0).any()
+    # gamma = 0: every cell is beta; a negative beta clamps every window.
+    assert np.array_equal(fused.data[:, 1], np.zeros_like(fused.data[:, 1]))
+    assert np.allclose(fused.data[:, 2], SIGNED_BETA[2], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_relu_pool_signed_gamma_grads(training):
+    n, c, t, f = 4, 4, 5, 7
+    rm, rv = RNG.standard_normal(c), RNG.uniform(0.5, 2.0, c)
+    x = kink_free_bn_input(RNG, (n, c, t, f), rm, np.sqrt(rv + 1e-5))
+
+    def build(ts):
+        out = ts["x"].bn_relu_pool(ts["gamma"], ts["beta"], rm.copy(), rv.copy(), training=training)
+        return (out * ts["c"]).sum()
+
+    check_grads(build, {"x": x, "gamma": SIGNED_GAMMA, "beta": SIGNED_BETA,
+                        "c": RNG.standard_normal((n, c, t // 2, f // 2))})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_relu_pool_inputs_on_the_clamp(dtype):
+    # Eval mode with zero running means, so the shift is beta itself. Each
+    # channel gets an x0 with x0 * q on the clamp exactly (beta = -4 * x0 * q),
+    # and every cell is x0, or on the clamped side of it, or well past it.
+    # Odd t and f: the dropped row and column get no gradient either.
+    n, c, t, f = 2, 3, 9, 7
+    rng = np.random.default_rng(31)
+    gamma = np.array([0.7, -1.3, 0.45], dtype=dtype)
+    rm, rv = np.zeros(c, dtype=dtype), np.array([0.8, 1.7, 0.3], dtype=dtype)
+    scale = autograd._bn_fold(gamma, np.zeros(c, dtype=dtype), rm, rv)[1].astype(dtype)
+    x0 = np.array([0.37, -0.52, 1.1], dtype=dtype)
+    beta = -4 * (x0 * (0.25 * scale))
+    side = rng.choice([-1.0, 0.0, 1.0], (n, c, t, f)) * rng.uniform(0.1, 1.0, (n, c, t, f))
+    side[:, :, :2, :2] = 0.0  # the first window: all four cells on the clamp
+    side[:, :, :2, 2:4] = -np.abs(side[:, :, :2, 2:4])  # the second: clamped, some on it
+    x = (x0[:, None, None] + np.sign(scale)[:, None, None] * side).astype(dtype)
+    clamped = side <= 0
+    xt = Tensor(x, requires_grad=True)
+    out = xt.bn_relu_pool(Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), training=False)
+    windows = clamped[:, :, :8, :6].reshape(n, c, 4, 2, 3, 2).all(axis=(3, 5))
+    assert windows[:, :, 0, :2].all() and not windows.all()
+    assert np.array_equal(out.data[windows], np.zeros(windows.sum(), dtype=dtype))
+    assert (out.data >= 0).all() and (out.data[~windows] > 0).all()
+    ref = Tensor(x).batch_norm(Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), training=False)
+    assert np.allclose(out.data, ref.relu().avg_pool2d().data, rtol=1e-5, atol=1e-6)
+    out.sum().backward()
+    assert np.array_equal(xt.grad[clamped], np.zeros(clamped.sum(), dtype=dtype))
+    assert (xt.grad[:, :, 8:] == 0).all() and (xt.grad[:, :, :, 6:] == 0).all()
+    active = ~clamped
+    active[:, :, 8:] = active[:, :, :, 6:] = False
+    want = np.broadcast_to((0.25 * scale)[:, None, None], x.shape)
+    assert np.allclose(xt.grad[active], want[active], rtol=1e-6, atol=0)
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_unfused_references_run_no_tail_helper(monkeypatch, training):
     # The references share only `_bn_stats` with `bn_relu_pool`, so a fault
@@ -599,7 +670,7 @@ def test_unfused_references_run_no_tail_helper(monkeypatch, training):
     def forbidden(*args, **kwargs):
         raise AssertionError("an unfused reference ran a fused-tail helper")
 
-    for name in ("_bn_fold", "_bn_affine", "_pool2x2", "_unpool2x2"):
+    for name in ("_bn_fold", "_pool_windows"):
         monkeypatch.setattr(autograd, name, forbidden)
     n, c, t, f = 2, 3, 5, 7
     x = Tensor(RNG.standard_normal((n, c, t, f)), requires_grad=True)
