@@ -29,6 +29,7 @@ from .data import (
     read_manifest,
     resolve_path,
     rows_for_task,
+    task_family,
     write_csv,
     write_manifest,
 )
@@ -44,15 +45,13 @@ from .training import (
     save_confusion_csv,
 )
 
-TASKS = tuple(TASK_CLASSES)
-
 
 def _add_task(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", choices=TASKS, default="gesture", help="classification task")
+    p.add_argument("--task", choices=TASK_CLASSES, default="gesture", help="classification task")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    family = "gesture" if args.task == "gesture" else "emotion"
+    family = task_family(args.task)
     manifest = synth_corpus(args.out, family, args.per_class, args.seed, args.seconds)
     rows = read_manifest(manifest)
     print(f"wrote {len(rows)} clips ({family} family) and {manifest}")
@@ -228,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     # from TrainSettings; the help texts quote them.
     p = sub.add_parser("train", help="train one or more runs", argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--task", choices=TASKS, help="classification task")
+    p.add_argument("--task", choices=TASK_CLASSES, help="classification task")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory (default runs)")
     p.add_argument("--seed", type=_seed, help="master seed (default 0)")
     p.add_argument("--epochs", type=_count, help="training epochs (default 100)")

@@ -43,20 +43,22 @@ AROUSAL_CLASSES = ("low", "neutral", "high")
 VALENCE_CLASSES = ("negative", "neutral", "positive")
 QUADRANT_CLASSES = ("Q0", "Q1", "Q2", "Q3", "Q4")
 
-TASK_CLASSES: dict[str, tuple[str, ...]] = {
-    "gesture": GESTURES,
-    "arousal": AROUSAL_CLASSES,
-    "valence": VALENCE_CLASSES,
-    "aro_val": QUADRANT_CLASSES,
-}
+# The manifest's `task` column names a recording's family; `label`, one of its base labels.
+FAMILY_LABELS = {"gesture": GESTURES, "emotion": EMOTIONS}
 
-# Default split totals (train, val, test) per task family.
-DEFAULT_SPLITS: dict[str, tuple[int, int, int]] = {
-    "gesture": (366, 42, 84),
-    "arousal": (660, 80, 100),
-    "valence": (660, 80, 100),
-    "aro_val": (660, 80, 100),
+# Each task: the family whose rows it reads, its classes in output order and
+# the class of each of the family's base labels.
+TASK_TARGETS: dict[str, tuple[str, tuple[str, ...], dict[str, str]]] = {
+    "gesture": ("gesture", GESTURES, {g: g for g in GESTURES}),
+    "arousal": ("emotion", AROUSAL_CLASSES, {e: QUADRANT_AROUSAL[q] for e, q in EMOTION_QUADRANT.items()}),
+    "valence": ("emotion", VALENCE_CLASSES, {e: QUADRANT_VALENCE[q] for e, q in EMOTION_QUADRANT.items()}),
+    "aro_val": ("emotion", QUADRANT_CLASSES, EMOTION_QUADRANT),
 }
+TASK_CLASSES = {task: classes for task, (_, classes, _) in TASK_TARGETS.items()}
+
+# Recipe defaults per family: split totals (train, val, test) and training crop seconds.
+DEFAULT_SPLITS = {"gesture": (366, 42, 84), "emotion": (660, 80, 100)}
+DEFAULT_CROP_S = {"gesture": 6.0, "emotion": 7.0}
 
 MANIFEST_HEADER = ["path", "participant", "round", "task", "label", "split"]
 
@@ -71,31 +73,30 @@ class ManifestRow:
     split: str = ""
 
 
+def task_family(task: str) -> str:
+    """The family whose rows `task` reads; an unknown task is refused."""
+    if task not in TASK_TARGETS:
+        raise ManifestError(f"unknown task {task!r} (tasks: {', '.join(TASK_TARGETS)})")
+    return TASK_TARGETS[task][0]
+
+
 def task_label(row: ManifestRow, task: str) -> str:
     """Map a manifest row's base label to the target class for `task`."""
-    if task == "gesture":
-        if row.label not in GESTURES:
-            raise ManifestError(f"unknown gesture label {row.label!r}")
-        return row.label
-    if row.label not in EMOTION_QUADRANT:
-        raise ManifestError(f"unknown emotion label {row.label!r}")
-    quadrant = EMOTION_QUADRANT[row.label]
-    if task == "aro_val":
-        return quadrant
-    if task == "arousal":
-        return QUADRANT_AROUSAL[quadrant]
-    if task == "valence":
-        return QUADRANT_VALENCE[quadrant]
-    raise ManifestError(f"unknown task {task!r}")
+    family = task_family(task)
+    label_class = TASK_TARGETS[task][2]
+    if row.label not in label_class:
+        raise ManifestError(f"unknown {family} label {row.label!r}")
+    return label_class[row.label]
 
 
 def class_index(row: ManifestRow, task: str) -> int:
-    return TASK_CLASSES[task].index(task_label(row, task))
+    label = task_label(row, task)
+    return TASK_CLASSES[task].index(label)
 
 
 def rows_for_task(rows: list[ManifestRow], task: str) -> list[ManifestRow]:
-    """Rows relevant to a task: gesture rows for gesture, emotion rows otherwise."""
-    family = "gesture" if task == "gesture" else "emotion"
+    """The rows of the family `task` reads."""
+    family = task_family(task)
     return [r for r in rows if r.task == family]
 
 
@@ -120,6 +121,8 @@ def read_manifest(path: str) -> list[ManifestRow]:
                 continue
             if len(rec) != len(MANIFEST_HEADER):
                 raise ManifestError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} fields, got {len(rec)}")
+            if rec[3] not in FAMILY_LABELS:
+                raise ManifestError(f"{path}:{lineno}: task {rec[3]!r} is not {' or '.join(FAMILY_LABELS)}")
             try:
                 rows.append(
                     ManifestRow(
@@ -173,7 +176,7 @@ def assign_splits(
     a seeded shuffle of the participants; exact totals are then only honored
     as closely as participant group sizes allow.
     """
-    classes = GESTURES if task == "gesture" else EMOTIONS
+    classes = FAMILY_LABELS[task_family(task)]
     targets = rows_for_task(rows, task)
     if not targets:
         raise ManifestError(f"manifest has no rows for task {task!r}")

@@ -146,9 +146,6 @@ class Mtrcnn(Layer):
     def buffers(self) -> dict[str, np.ndarray]:
         return {name: v for name, v in named_state(self) if isinstance(v, np.ndarray)}
 
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.parameters().values())
-
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every parameter's array, then every buffer, each in `named_state`
         order: the checkpoint's entries, in file order. The arrays are the

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from . import dsp
-from .data import EMOTIONS, GESTURES, ManifestRow, write_manifest
+from .data import FAMILY_LABELS, ManifestRow, write_manifest
 
 SR = dsp.SAMPLE_RATE
 N_PARTICIPANTS = 7
@@ -183,15 +183,13 @@ def synth_corpus(
     Every clip's RNG is derived from (seed, family, class, index), so output
     bytes are identical for identical arguments regardless of call order.
     """
-    if family == "gesture":
-        labels, make, family_id = GESTURES, gesture_clip, 0
-    elif family == "emotion":
-        labels, make, family_id = EMOTIONS, emotion_clip, 1
-    else:
+    recipes = {"gesture": (gesture_clip, 0), "emotion": (emotion_clip, 1)}  # (recipe, seed tag)
+    if family not in recipes:
         raise ValueError(f"unknown corpus family {family!r}")
+    make, family_id = recipes[family]
     os.makedirs(out_dir, exist_ok=True)
     rows: list[ManifestRow] = []
-    for ci, label in enumerate(labels):
+    for ci, label in enumerate(FAMILY_LABELS[family]):
         for i in range(per_class):
             rng = np.random.default_rng(np.random.SeedSequence([seed, family_id, ci, i]))
             clip = make(label, rng, seconds)

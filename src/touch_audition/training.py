@@ -21,6 +21,7 @@ from . import dsp
 from .autograd import cross_entropy
 from .data import (
     TASK_CLASSES,
+    DEFAULT_CROP_S,
     DEFAULT_SPLITS,
     LENGTH_GRID_S,
     ManifestRow,
@@ -31,6 +32,7 @@ from .data import (
     read_manifest,
     resolve_path,
     rows_for_task,
+    task_family,
     write_csv,
     write_manifest,
 )
@@ -57,10 +59,10 @@ class TrainSettings:
     out_dir: str = "runs"
 
     def crop(self) -> float:
-        """The training crop: crop_s, or 6 s for gestures and 7 s otherwise."""
+        """The training crop: crop_s, or the task family's default."""
         if self.crop_s is not None:
             return self.crop_s
-        return 6.0 if self.task == "gesture" else 7.0
+        return DEFAULT_CROP_S[task_family(self.task)]
 
 
 @dataclass
@@ -249,7 +251,7 @@ def run_training(manifest_path: str, settings: TrainSettings, log=print) -> Trai
     rows = read_manifest(manifest_path)
     task_rows = rows_for_task(rows, settings.task)
     if all(not r.split for r in task_rows):
-        counts = settings.splits or DEFAULT_SPLITS[settings.task]
+        counts = settings.splits or DEFAULT_SPLITS[task_family(settings.task)]
         rows = assign_splits(rows, settings.task, counts, settings.seed,
                              by_participant=settings.by_participant)
         task_rows = rows_for_task(rows, settings.task)

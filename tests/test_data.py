@@ -1,5 +1,7 @@
 """Taxonomy, manifest, split, and cropping tests."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import corrupted
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from touch_audition import dsp
+from touch_audition.cli import main
 from touch_audition.data import (
     AROUSAL_CLASSES,
     DEFAULT_SPLITS,
@@ -26,10 +29,12 @@ from touch_audition.data import (
     read_manifest,
     rows_for_task,
     target_frames,
+    task_family,
     task_label,
     write_manifest,
 )
 from touch_audition.errors import InputTooShortError, ManifestError, TouchAuditionError
+from touch_audition.training import TrainSettings
 
 RNG = np.random.default_rng(31)
 
@@ -68,11 +73,56 @@ def test_circumplex_mapping(emotion, quadrant, arousal, valence):
     assert task_label(row, "valence") == valence
 
 
-def test_task_label_rejects_unknown():
-    with pytest.raises(ManifestError):
-        task_label(ManifestRow("x", "p", 1, "gesture", "smack"), "gesture")
-    with pytest.raises(ManifestError):
-        task_label(ManifestRow("x", "p", 1, "emotion", "boredom"), "arousal")
+@pytest.mark.parametrize("task", TASK_CLASSES)
+def test_task_label_rejects_unknown(task):
+    family = task_family(task)
+    other = EMOTIONS[0] if family == "gesture" else GESTURES[0]
+    for label in ("smack", "boredom", other):
+        with pytest.raises(ManifestError, match=f"unknown {family} label '{label}'"):
+            task_label(ManifestRow("x", "p", 1, family, label), task)
+
+
+@pytest.mark.parametrize("call", [
+    lambda task: rows_for_task(_gesture_rows(1), task),
+    lambda task: assign_splits(_gesture_rows(1), task, (6, 0, 0), seed=0),
+    lambda task: task_label(ManifestRow("x", "p", 1, "gesture", "tap"), task),
+    lambda task: class_index(ManifestRow("x", "p", 1, "gesture", "tap"), task),
+    lambda task: TrainSettings(task=task).crop(),
+], ids=["rows_for_task", "assign_splits", "task_label", "class_index", "crop"])
+@pytest.mark.parametrize("task", ["Gesture", "emotion", "bogus"])
+def test_unknown_task_is_refused(call, task):
+    # Not read as the emotion family: one error that names the tasks.
+    with pytest.raises(ManifestError, match=f"unknown task '{task}'.*gesture, arousal, valence, aro_val"):
+        call(task)
+
+
+# Each task's family, that family's base labels and its recipe defaults
+# (training crop in seconds, train/val/test split totals).
+TASK_FAMILY_CASES = {
+    "gesture": ("gesture", GESTURES, 6.0, (366, 42, 84)),
+    "arousal": ("emotion", EMOTIONS, 7.0, (660, 80, 100)),
+    "valence": ("emotion", EMOTIONS, 7.0, (660, 80, 100)),
+    "aro_val": ("emotion", EMOTIONS, 7.0, (660, 80, 100)),
+}
+
+
+@pytest.mark.parametrize("task", TASK_CLASSES)
+def test_every_view_of_a_task_agrees_on_its_family(task, tmp_path, capsys):
+    family, labels, crop_s, splits = TASK_FAMILY_CASES[task]
+    rows = [ManifestRow(f"{label}.wav", "p00", 1, fam, label)
+            for fam, names in (("gesture", GESTURES), ("emotion", EMOTIONS)) for label in names]
+    assert {r.task for r in rows_for_task(rows, task)} == {family}
+    # One clip of each label to train: assign_splits stratifies over the family's labels.
+    split = assign_splits(rows, task, (len(labels), 0, 0), seed=0)
+    assert sorted(r.label for r in split if r.split) == sorted(labels)
+    assert main(["synth", "--task", task, "--per-class", "1", "--seconds", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert f"({family} family)" in capsys.readouterr().out
+    corpus = read_manifest(str(tmp_path / "manifest.csv"))
+    assert {r.task for r in corpus} == {family}
+    assert [r.label for r in corpus] == list(labels)
+    assert TrainSettings(task=task).crop() == crop_s
+    assert DEFAULT_SPLITS[task_family(task)] == splits
 
 
 def test_manifest_round_trip(tmp_path):
@@ -85,6 +135,15 @@ def test_manifest_round_trip(tmp_path):
     header = open(path).readline().strip()
     assert header == "path,participant,round,task,label,split"
     assert read_manifest(path) == rows
+
+
+@pytest.mark.parametrize("family", ["gestures", "Emotion", "aro_val", ""])
+def test_manifest_rejects_unknown_family(tmp_path, family):
+    path = tmp_path / "m.csv"
+    path.write_text("path,participant,round,task,label,split\n"
+                    f"a.wav,p0,1,gesture,tap,\nb.wav,p0,1,{family},tap,\n")
+    with pytest.raises(ManifestError, match=re.escape(f"m.csv:3: task '{family}' is not gesture or emotion")):
+        read_manifest(str(path))
 
 
 def test_manifest_rejects_malformed(tmp_path):
@@ -240,7 +299,7 @@ def test_emotion_default_split_counts():
     for label in EMOTIONS:
         for i in range(84):
             rows.append(ManifestRow(f"{label}_{i}.wav", f"p{i % 7:02d}", 1, "emotion", label))
-    out = assign_splits(rows, "aro_val", DEFAULT_SPLITS["aro_val"], seed=1)
+    out = assign_splits(rows, "aro_val", DEFAULT_SPLITS["emotion"], seed=1)
     counts = {"train": 0, "val": 0, "test": 0, "": 0}
     for r in out:
         counts[r.split] += 1

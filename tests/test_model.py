@@ -43,7 +43,8 @@ def test_parameter_ledger_matches_live_model():
     cfg = ModelConfig()
     model = Mtrcnn(cfg, np.random.default_rng(0))
     params = model.parameters()
-    assert model.num_params() == 240_038
+    n_params = sum(p.data.size for p in params.values())
+    assert n_params == 240_038
     by_module: dict[str, int] = {}
     for name, p in params.items():
         head = name.split(".")[0]
@@ -54,7 +55,7 @@ def test_parameter_ledger_matches_live_model():
     assert by_module["head"] == 6 * 64 + 6
 
     counted = count_params(cfg)
-    assert counted["total"] == model.num_params()
+    assert counted["total"] == n_params
     # 5-class head differs from the 6-class one by exactly 65 parameters.
     five = count_params(ModelConfig(task="aro_val"))
     assert counted["total"] - five["total"] == 65

@@ -4,11 +4,12 @@
     PYTHONPATH=<other checkout>/src python tools/golden_run.py
 
 Runs every subcommand (synth, train, eval, sweep, infer, featurize, eval on
-the .melf manifest, analyze) as `python -m touch_audition.cli` subprocesses
-in a temporary directory with OPENBLAS_NUM_THREADS=1, then
+the .melf manifest, analyze) on a gesture corpus, then synth, train and eval
+of the aro_val task on an emotion corpus, as `python -m touch_audition.cli`
+subprocesses in a temporary directory with OPENBLAS_NUM_THREADS=1, then
 prints `sha256  name` for each command's stdout (`stdout:<command>`, with
-`train`'s per-epoch `(N.Ns)` timings taken out) and for every file the
-commands wrote. Two checkouts that print the same lines wrote the same bytes.
+the train commands' per-epoch `(N.Ns)` timings taken out) and for every
+file the commands wrote. Two checkouts that print the same lines wrote the same bytes.
 The package is imported from PYTHONPATH when it is set (a relative entry
 is taken from the directory the tool is started in), else from this
 checkout's src/.
@@ -37,6 +38,11 @@ COMMANDS = (
     ("eval_melf", f"eval --checkpoint {CKPT} --manifest feats/manifest.csv --length full "
                   "--out eval_melf.csv"),
     ("analyze", "analyze --out analyze.csv"),
+    ("synth_emotion", "synth --task aro_val --per-class 3 --seed 6 --seconds 3 --out emo"),
+    ("train_emotion", "train --manifest emo/manifest.csv --task aro_val --out emo_runs --seed 8 "
+                      "--epochs 1 --batch-size 5 --crop-s 2 --splits 10,10,10"),
+    ("eval_emotion", "eval --checkpoint emo_runs/run0/model.ckpt --manifest emo_runs/manifest.csv "
+                     "--length full --out eval_emotion.csv"),
 )
 TIMING = re.compile(rb" *\(\d+\.\ds\)")
 
@@ -57,7 +63,7 @@ def main() -> int:
                 sys.stderr.buffer.write(proc.stderr)
                 print(f"golden_run: {name} exited {proc.returncode}", file=sys.stderr)
                 return 1
-            stdout = TIMING.sub(b"", proc.stdout) if name == "train" else proc.stdout
+            stdout = TIMING.sub(b"", proc.stdout) if name.startswith("train") else proc.stdout
             print(f"{sha256(stdout)}  stdout:{name}")
         written = sorted(
             os.path.relpath(os.path.join(root, f), work) for root, _, files in os.walk(work) for f in files
