@@ -5,8 +5,8 @@ build the graph eagerly and `backward()` runs the closures in reverse
 topological order. Only the ops this model needs are implemented: broadcast
 add/mul, matmul, relu, reshape, sum, dilated valid conv2d, 2x2 average
 pooling, global average pooling, batch norm, the fused conv-block tail
-(batch norm -> ReLU -> 2x2 average pooling, `bn_relu_pool`), dropout,
-concat, and softmax cross-entropy.
+(batch norm -> ReLU -> 2x2 average pooling, `bn_relu_pool`), a whole conv
+block (`conv_bn_relu_pool`), dropout, concat, and softmax cross-entropy.
 
 Closures treat `out.grad` as read-only: a gradient handed to `_accumulate`
 may be stored as is, so the same array can be another node's gradient too.
@@ -128,13 +128,25 @@ def _forward_tile(o: int, k: int, fo: int) -> int:
     return frames if frames * fo >= _MIN_TILE_COLUMNS else _FALLBACK_TILE_FRAMES
 
 
+def _w_aug(dtype, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """W_aug for the conv kernels, in the result type of the input's `dtype`
+    and the weights': W^T, rows in (kt, kf, c) order, with the bias as its
+    last row, (kt*kf*c + 1, o)."""
+    o = weight.shape[0]
+    w_aug = np.empty((weight[0].size + 1, o), dtype=np.result_type(dtype, weight.dtype))
+    w_aug[:-1] = weight.transpose(2, 3, 1, 0).reshape(-1, o)
+    w_aug[-1] = bias
+    return w_aug
+
+
 # The conv kernels. Each runs one algorithm over a batch of windows from
 # `_tap_windows` and allocates its tile scratch once per call, sized when
 # called by `_forward_tile` (forwards) or `_TILE_FRAMES` (backwards) from
 # shapes that do not depend on the batch, so one sample's recompute is one
-# call on win[s:s+1] and gives that sample's bytes of the batch call. W_aug
-# is W^T with the bias as its last row, (kt*kf*c + 1, o), rows in the
-# lowering's (kt, kf, c) order.
+# call on win[s:s+1] and gives that sample's bytes of the batch call
+# (`conv_bn_relu_pool`'s backward recomputes block 1 so). W_aug is W^T with
+# the bias as its last row, (kt*kf*c + 1, o), rows in the lowering's
+# (kt, kf, c) order (`_w_aug`).
 
 
 def _conv_all_taps(win: np.ndarray, w_aug: np.ndarray) -> np.ndarray:
@@ -359,6 +371,110 @@ def _pool_windows(a: np.ndarray) -> np.ndarray:
     return a[..., : 2 * t2, : 2 * f2].reshape(*a.shape[:-2], t2, 2, f2, 2)
 
 
+def _bn_relu_pool(x, gamma, beta, running_mean, running_var, training: bool):
+    """The fused tail's arithmetic over x (n, c, t, f): its pooled output
+    and backward(g, sample) -> (x's gradient, gamma's, beta's), for the
+    output gradient g. backward reads sample s of x, (c, t, f), as
+    sample(s), once in each of its passes, and keeps no reference to x, so
+    a caller can hand it the stored samples or recompute them. Every pass
+    walks x in the batch statistics' tiles, whole channels of one sample
+    (`_channel_groups`).
+
+    With `_bn_fold`'s per-channel scale s and shift b, relu(s*x + b) =
+    max(s*x, -b) + b, and the pool's 1/4 folds into both terms: q = s/4
+    and the clamp -b/4. Scaling by a power of two is exact outside the
+    subnormal range, so x*q is (x*s)/4 to the bit. Forward, one tile at a
+    time: copy the tile's whole windows into one buffer, even rows in one
+    half and odd rows in the other; take h = max(x*q, -b/4) there; add
+    the halves (the row pairs, contiguous), then the column pairs; add b
+    to the quarter-size output. A window whose four cells are all
+    clamped sums to exactly -b and pools to 0.0, and rounding is
+    monotone, so no output is negative.
+
+    Backward recomputes from the input (Chen et al., arXiv:1604.06174)
+    in two passes. The first takes the ReLU mask as x*q > -b/4. That is
+    the forward's own active set, and it has the bits of s*x + b > 0,
+    since a rounded sum is positive exactly when the exact sum is. It
+    writes the masked, unpooled gradient gp into the input gradient,
+    without the 1/4, which lives in q, and sums gp and gp * (x - mean)
+    per channel. The second turns gp into the input gradient in place:
+    q * gp in eval mode; q * gp - k * x + (k * mean - c) in training
+    mode, where k and c carry d gamma and d beta over the m values per
+    channel.
+    """
+    mu, var = _bn_stats(x, running_mean, running_var, training)
+    inv_std, scale, shift = (v.astype(x.dtype, copy=False) for v in _bn_fold(gamma, beta, mu, var))
+    # Per-channel (c, 1, 1) columns, broadcast over one sample's tile.
+    q = (0.25 * scale).reshape(-1, 1, 1)
+    b = shift.reshape(-1, 1, 1)
+    clamp = -0.25 * b
+    mu = mu.astype(x.dtype, copy=False)
+    dtype = x.dtype
+    n, c, t, f = x.shape
+    out = np.empty(_pooled_shape(x.shape), dtype=dtype)
+    t2, f2 = out.shape[2:]
+    groups = _channel_groups(x)
+    # One tile's whole windows, (2, channels, t2, f2, 2): its even rows,
+    # then its odd rows.
+    h_buf = np.empty(groups[0][1] * t2 * f2 * 4, dtype=dtype)
+    for s in range(n):
+        for c0, c1 in groups:
+            h = h_buf[: (c1 - c0) * t2 * f2 * 4].reshape(2, c1 - c0, t2, f2, 2)
+            np.copyto(h, _pool_windows(x[s, c0:c1]).transpose(2, 0, 1, 3, 4))
+            np.multiply(h, q[c0:c1, None], out=h)
+            np.maximum(h, clamp[c0:c1, None], out=h)
+            rows = np.add(h[0], h[1], out=h[0])
+            pooled = out[s, c0:c1]
+            np.add(rows[..., 0], rows[..., 1], out=pooled)
+            pooled += b[c0:c1]
+
+    def backward(g, sample):
+        gx = np.empty((n, c, t, f), dtype=dtype)
+        sums = np.zeros((2, c))  # sum gp, sum gp * (x - mean)
+        h_buf = np.empty(groups[0][1] * t * f, dtype=dtype)
+        row_buf = np.empty(groups[0][1] * t2 * f2 * 2, dtype=dtype)
+        ones = np.ones(t * f, dtype=dtype)
+        mean = mu.reshape(-1, 1, 1)
+        for s in range(n):
+            x_s = sample(s)
+            for c0, c1 in groups:
+                xs, gp = x_s[c0:c1], gx[s, c0:c1]
+                h = np.multiply(xs, q[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
+                np.greater(h, clamp[c0:c1], out=h)  # the ReLU mask, as 1.0 / 0.0
+                # Unpool: each window's row of gradients, built
+                # contiguous, then copied into both of its rows.
+                rows = row_buf[: (c1 - c0) * t2 * f2 * 2].reshape(c1 - c0, t2, 1, f2, 2)
+                rows[..., 0] = rows[..., 1] = g[s, c0:c1, :, None]
+                np.copyto(_pool_windows(gp), rows)
+                gp[:, 2 * t2 :] = 0
+                gp[:, :, 2 * f2 :] = 0
+                gp *= h
+                # Per-channel sums as BLAS products, two to four times
+                # faster than numpy's pairwise sum on these rows.
+                gp2 = gp.reshape(c1 - c0, -1)
+                h2 = np.subtract(xs, mean[c0:c1], out=h).reshape(c1 - c0, -1)
+                sums[0, c0:c1] += gp2 @ ones
+                sums[1, c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
+                if not training:
+                    gp *= q[c0:c1]
+        gbeta, ggamma = 0.25 * sums[0], 0.25 * sums[1] * inv_std
+        if training:
+            m = n * t * f
+            k = scale * inv_std * ggamma / m
+            kc = (k * mu - scale * gbeta / m).astype(dtype).reshape(-1, 1, 1)
+            k = k.astype(dtype).reshape(-1, 1, 1)
+            for s in range(n):
+                x_s = sample(s)
+                for c0, c1 in groups:
+                    xs, gp = x_s[c0:c1], gx[s, c0:c1]
+                    gp *= q[c0:c1]
+                    gp -= np.multiply(xs, k[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
+                    gp += kc[c0:c1]
+        return gx, ggamma, gbeta
+
+    return out, backward
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -550,9 +666,7 @@ class Tensor:
             raise ValueError(
                 f"conv2d input {t}x{f} smaller than effective kernel {kt_eff}x{kf_eff}"
             )
-        w_aug = np.empty((kt * kf * c + 1, o), dtype=np.result_type(self.data.dtype, weight.data.dtype))
-        w_aug[:-1] = weight.data.transpose(2, 3, 1, 0).reshape(-1, o)
-        w_aug[-1] = bias.data
+        w_aug = _w_aug(self.data.dtype, weight.data, bias.data)
         if c == 1:
             out_data = _conv_all_taps(_tap_windows(self.data, kt, kf, dilation), w_aug)
         else:
@@ -625,105 +739,66 @@ class Tensor:
 
         Same result as `batch_norm(...).relu().avg_pool2d()`, but the graph
         keeps only the input (this op's parent) and per-channel vectors, and
-        no pass holds a full-size array besides the input gradient. Every
-        pass walks x in the batch statistics' tiles, whole channels of one
-        sample (`_channel_groups`).
-
-        With `_bn_fold`'s per-channel scale s and shift b, relu(s*x + b) =
-        max(s*x, -b) + b, and the pool's 1/4 folds into both terms: q = s/4
-        and the clamp -b/4. Scaling by a power of two is exact outside the
-        subnormal range, so x*q is (x*s)/4 to the bit. Forward, one tile at a
-        time: copy the tile's whole windows into one buffer, even rows in one
-        half and odd rows in the other; take h = max(x*q, -b/4) there; add
-        the halves (the row pairs, contiguous), then the column pairs; add b
-        to the quarter-size output. A window whose four cells are all
-        clamped sums to exactly -b and pools to 0.0, and rounding is
-        monotone, so no output is negative.
-
-        Backward recomputes from the input (Chen et al., arXiv:1604.06174)
-        in two passes. The first takes the ReLU mask as x*q > -b/4. That is
-        the forward's own active set, and it has the bits of s*x + b > 0,
-        since a rounded sum is positive exactly when the exact sum is. It
-        writes the masked, unpooled gradient gp into the input gradient,
-        without the 1/4, which lives in q, and sums gp and gp * (x - mean)
-        per channel. The second turns gp into the input gradient in place:
-        q * gp in eval mode; q * gp - k * x + (k * mean - c) in training
-        mode, where k and c carry d gamma and d beta over the m values per
-        channel.
+        no pass holds a full-size array besides the input gradient. The
+        arithmetic is `_bn_relu_pool`'s; its backward reads the stored
+        input's samples.
         """
         x = self.data
-        mu, var = _bn_stats(x, running_mean, running_var, training)
-        inv_std, scale, shift = (
-            v.astype(x.dtype, copy=False) for v in _bn_fold(gamma.data, beta.data, mu, var)
-        )
-        # Per-channel (c, 1, 1) columns, broadcast over one sample's tile.
-        q = (0.25 * scale).reshape(-1, 1, 1)
-        b = shift.reshape(-1, 1, 1)
-        clamp = -0.25 * b
-        mu = mu.astype(x.dtype, copy=False)
-        n, c, t, f = x.shape
-        out_data = np.empty(_pooled_shape(x.shape), dtype=x.dtype)
-        t2, f2 = out_data.shape[2:]
-        groups = _channel_groups(x)
-        # One tile's whole windows, (2, channels, t2, f2, 2): its even rows,
-        # then its odd rows.
-        h_buf = np.empty(groups[0][1] * t2 * f2 * 4, dtype=x.dtype)
-        for s in range(n):
-            for c0, c1 in groups:
-                h = h_buf[: (c1 - c0) * t2 * f2 * 4].reshape(2, c1 - c0, t2, f2, 2)
-                np.copyto(h, _pool_windows(x[s, c0:c1]).transpose(2, 0, 1, 3, 4))
-                np.multiply(h, q[c0:c1, None], out=h)
-                np.maximum(h, clamp[c0:c1, None], out=h)
-                rows = np.add(h[0], h[1], out=h[0])
-                pooled = out_data[s, c0:c1]
-                np.add(rows[..., 0], rows[..., 1], out=pooled)
-                pooled += b[c0:c1]
+        out_data, tail_backward = _bn_relu_pool(x, gamma.data, beta.data, running_mean, running_var, training)
         out = Tensor._make(out_data, (self, gamma, beta))
         if out.requires_grad:
             def _backward():
-                gx = np.empty_like(x)
-                sums = np.zeros((2, c))  # sum gp, sum gp * (x - mean)
-                h_buf = np.empty(groups[0][1] * t * f, dtype=x.dtype)
-                row_buf = np.empty(groups[0][1] * t2 * f2 * 2, dtype=x.dtype)
-                ones = np.ones(t * f, dtype=x.dtype)
-                mean = mu.reshape(-1, 1, 1)
-                for s in range(n):
-                    for c0, c1 in groups:
-                        xs, gp = x[s, c0:c1], gx[s, c0:c1]
-                        h = np.multiply(xs, q[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
-                        np.greater(h, clamp[c0:c1], out=h)  # the ReLU mask, as 1.0 / 0.0
-                        # Unpool: each window's row of gradients, built
-                        # contiguous, then copied into both of its rows.
-                        rows = row_buf[: (c1 - c0) * t2 * f2 * 2].reshape(c1 - c0, t2, 1, f2, 2)
-                        rows[..., 0] = rows[..., 1] = out.grad[s, c0:c1, :, None]
-                        np.copyto(_pool_windows(gp), rows)
-                        gp[:, 2 * t2 :] = 0
-                        gp[:, :, 2 * f2 :] = 0
-                        gp *= h
-                        # Per-channel sums as BLAS products, two to four times
-                        # faster than numpy's pairwise sum on these rows.
-                        gp2 = gp.reshape(c1 - c0, -1)
-                        h2 = np.subtract(xs, mean[c0:c1], out=h).reshape(c1 - c0, -1)
-                        sums[0, c0:c1] += gp2 @ ones
-                        sums[1, c0:c1] += np.matmul(gp2[:, None], h2[:, :, None])[:, 0, 0]
-                        if not training:
-                            gp *= q[c0:c1]
-                gbeta, ggamma = 0.25 * sums[0], 0.25 * sums[1] * inv_std
-                if training:
-                    m = n * t * f
-                    k = scale * inv_std * ggamma / m
-                    kc = (k * mu - scale * gbeta / m).astype(x.dtype).reshape(-1, 1, 1)
-                    k = k.astype(x.dtype).reshape(-1, 1, 1)
-                    for s in range(n):
-                        for c0, c1 in groups:
-                            xs, gp = x[s, c0:c1], gx[s, c0:c1]
-                            gp *= q[c0:c1]
-                            gp -= np.multiply(xs, k[c0:c1], out=h_buf[: xs.size].reshape(xs.shape))
-                            gp += kc[c0:c1]
+                gx, ggamma, gbeta = tail_backward(out.grad, x.__getitem__)
                 self._accumulate(gx)
                 gamma._accumulate(ggamma)
                 beta._accumulate(gbeta)
             out._backward = _backward
+        return out
+
+    def conv_bn_relu_pool(
+        self,
+        weight: "Tensor",
+        bias: "Tensor",
+        dilation: tuple[int, int],
+        gamma: "Tensor",
+        beta: "Tensor",
+        running_mean: np.ndarray,
+        running_var: np.ndarray,
+        training: bool,
+    ) -> "Tensor":
+        """One conv block: `conv2d`, then `bn_relu_pool`, with the same bits
+        in every output, gradient and running buffer.
+
+        The conv runs as one `self.conv2d` call on the whole batch, looked up
+        on the class. A training-mode graph over a one-channel input (block 1)
+        does not keep that conv output, the largest array the graph would
+        hold (Chen et al., arXiv:1604.06174): its data is dropped once the
+        tail's forward has read it. Each of the tail's backward passes
+        recomputes sample s as `_conv_all_taps` on that sample's windows,
+        which gives the bytes of sample s of the batch forward. The tail's
+        input gradient then becomes the conv output's gradient, and the
+        conv output's own backward closure, as it stands when backward runs,
+        runs once and is released. Blocks 2-3 (their recompute would cost a
+        GEMM pass per sample), no-grad and eval-mode forwards run the plain
+        composition.
+        """
+        y = self.conv2d(weight, bias, dilation)
+        if not (training and y.requires_grad and self.data.shape[1] == 1):
+            return y.bn_relu_pool(gamma, beta, running_mean, running_var, training)
+        out_data, tail_backward = _bn_relu_pool(y.data, gamma.data, beta.data, running_mean, running_var, training)
+        y.data = None
+        win = _tap_windows(self.data, *weight.data.shape[2:], dilation)
+        w_aug = _w_aug(self.data.dtype, weight.data, bias.data)
+        out = Tensor._make(out_data, (*y._parents, gamma, beta))
+
+        def _backward():
+            y.grad, ggamma, gbeta = tail_backward(out.grad, lambda s: _conv_all_taps(win[s : s + 1], w_aug)[0])
+            y._backward()
+            y.grad = y._backward = None
+            y._parents = ()
+            gamma._accumulate(ggamma)
+            beta._accumulate(gbeta)
+        out._backward = _backward
         return out
 
     def dropout(self, p: float, rng: np.random.Generator, training: bool) -> "Tensor":

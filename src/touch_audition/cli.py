@@ -23,6 +23,8 @@ import numpy as np
 from . import dsp
 from .analysis import build_report
 from .data import (
+    DEFAULT_CROP_S,
+    DEFAULT_SPLITS,
     LENGTH_GRID_S,
     TASK_CLASSES,
     class_index,
@@ -202,6 +204,16 @@ def _splits(text: str) -> tuple[int, int, int]:
     return tuple(_count(p, lowest=0) for p in parts)
 
 
+def _join(counts: tuple[int, ...]) -> str:
+    return ",".join(str(k) for k in counts)
+
+
+def _per_family(table: dict, show) -> str:
+    """A per-family recipe default as help text, 'default by task family:
+    6 gesture / 7 emotion', each value as `show` writes it."""
+    return "default by task family: " + " / ".join(f"{show(v)} {family}" for family, v in table.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="touch-audition",
@@ -224,22 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     # Options left out are left out of the namespace, so the defaults come
-    # from TrainSettings; the help texts quote them.
+    # from TrainSettings and data's per-family recipe tables; the help texts
+    # are built from them.
+    d = TrainSettings()
     p = sub.add_parser("train", help="train one or more runs", argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--task", choices=TASK_CLASSES, help="classification task")
-    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory (default runs)")
-    p.add_argument("--seed", type=_seed, help="master seed (default 0)")
-    p.add_argument("--epochs", type=_count, help="training epochs (default 100)")
-    p.add_argument("--batch-size", type=_count, help="batch size (default 32)")
-    p.add_argument("--lr", type=_positive, help="Adam learning rate (default 1e-3)")
+    p.add_argument("--task", choices=TASK_CLASSES, help=f"classification task (default {d.task})")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help=f"output directory (default {d.out_dir})")
+    p.add_argument("--seed", type=_seed, help=f"master seed (default {d.seed})")
+    p.add_argument("--epochs", type=_count, help=f"training epochs (default {d.epochs})")
+    p.add_argument("--batch-size", type=_count, help=f"batch size (default {d.batch_size})")
+    p.add_argument("--lr", type=_positive, help=f"Adam learning rate (default {d.lr:g})")
     p.add_argument("--crop-s", type=_positive,
-                   help="training crop seconds (default 6 for gesture, 7 otherwise)")
+                   help=f"training crop seconds ({_per_family(DEFAULT_CROP_S, lambda s: f'{s:g}')})")
     p.add_argument("--splits", type=_splits,
-                   help="train,val,test totals (default 366,42,84 gesture / 660,80,100 emotion)")
+                   help=f"train,val,test totals ({_per_family(DEFAULT_SPLITS, _join)})")
     p.add_argument("--by-participant", action="store_true",
                    help="assign whole participants to a single split")
-    p.add_argument("--runs", type=_count, help="independent runs (default 1)")
+    p.add_argument("--runs", type=_count, help=f"independent runs (default {d.runs})")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest split")

@@ -69,10 +69,6 @@ class BatchNorm2d(Layer):
         self.running_mean = np.zeros(num_channels, dtype=np.float32)
         self.running_var = np.ones(num_channels, dtype=np.float32)
 
-    def relu_pool(self, x: Tensor, training: bool) -> Tensor:
-        """This normalization, then ReLU, then 2x2 average pooling, fused."""
-        return x.bn_relu_pool(self.gamma, self.beta, self.running_mean, self.running_var, training)
-
 
 class Dense(Layer):
     """Fully connected layer: y = x @ W + b, W shaped (in, out)."""

@@ -1,9 +1,9 @@
 """Three-branch multi-temporal-resolution CNN (MTRCNN) and checkpoint I/O.
 
 Each branch runs three dilated conv blocks (conv, then batch norm -> ReLU ->
-2x2 average pool as one fused op) at a fixed kernel size (3, 5, or 7) with
-time-axis dilations 1, 2, 3, then global average pooling and a 64-d
-embedding. Branch embeddings are concatenated (192-d), fused to 64-d,
+2x2 average pool; one op per block, `conv_bn_relu_pool`) at a fixed kernel
+size (3, 5, or 7) with time-axis dilations 1, 2, 3, then global average
+pooling and a 64-d embedding. Branch embeddings are concatenated (192-d), fused to 64-d,
 dropped out, and classified by a linear head.
 """
 
@@ -85,7 +85,8 @@ class Branch(Layer):
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = x
         for conv, bn in zip(self.convs, self.bns):
-            h = bn.relu_pool(conv(h), training)
+            h = h.conv_bn_relu_pool(conv.weight, conv.bias, conv.dilation, bn.gamma, bn.beta,
+                                    bn.running_mean, bn.running_var, training)
         h = h.mean_pool()
         return self.embed(h).relu()
 

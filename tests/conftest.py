@@ -148,7 +148,7 @@ def live_mac_count(cfg: ModelConfig, t: int) -> int:
                 h = conv(h)
                 _, c, kt, kf = conv.weight.data.shape
                 macs += h.data.size * c * kt * kf
-                h = bn.relu_pool(h, training=False)
+                h = h.bn_relu_pool(bn.gamma, bn.beta, bn.running_mean, bn.running_var, training=False)
             h = branch.embed(h.mean_pool())
             macs += branch.embed.weight.data.size
         macs += model.fusion.weight.data.size

@@ -804,6 +804,67 @@ def test_bn_relu_pool_graph_keeps_one_full_size_array():
     assert kept < 1.5 * full
 
 
+@pytest.mark.parametrize("tail_bytes", [1, 64 * 1024 * 1024], ids=["tail-1B", "tail-64MiB"])
+@pytest.mark.parametrize("tile", TILE_GRAD_FRAMES)
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_pool_matches_the_composition_bit_for_bit(monkeypatch, training, tile, tail_bytes):
+    # A one-channel training block recomputes its conv output one sample at
+    # a time in each of the tail's two backward passes; the output, every
+    # gradient and the running buffers keep the bits of conv2d ->
+    # bn_relu_pool at any forward tile and tail tile.
+    monkeypatch.setattr(autograd, "_forward_tile", lambda o, k, fo: tile)
+    monkeypatch.setattr(autograd, "_TAIL_TILE_BYTES", tail_bytes)
+    calls = []
+    kernel = autograd._conv_all_taps
+    monkeypatch.setattr(autograd, "_conv_all_taps", lambda win, w_aug: calls.append(len(win)) or kernel(win, w_aug))
+    rng = np.random.default_rng(37)
+    n, o, k, dilation = 3, 6, 5, (2, 1)
+    x = rng.standard_normal((n, 1, 41, 19)).astype(np.float32)
+    params = {"w": rng.standard_normal((o, 1, k, k)), "b": 0.1 * rng.standard_normal(o),
+              "gamma": rng.uniform(0.5, 1.5, o), "beta": rng.uniform(-0.1, 0.1, o)}
+    g = Tensor(rng.standard_normal((n, o, 16, 7)).astype(np.float32))
+
+    def run(fused: bool) -> list[np.ndarray]:
+        xt = Tensor(x, requires_grad=True)
+        w, b, gamma, beta = (Tensor(v.astype(np.float32), requires_grad=True) for v in params.values())
+        bufs = (np.full(o, 0.1, np.float32), np.full(o, 1.5, np.float32))
+        if fused:
+            out = xt.conv_bn_relu_pool(w, b, dilation, gamma, beta, *bufs, training)
+        else:
+            out = xt.conv2d(w, b, dilation).bn_relu_pool(gamma, beta, *bufs, training)
+        (out * g).sum().backward()
+        return [out.data, xt.grad, w.grad, b.grad, gamma.grad, beta.grad, *bufs]
+
+    fused = run(True)
+    assert calls == ([n] + [1] * 2 * n if training else [n])
+    for got, want in zip(fused, run(False), strict=True):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_conv_bn_relu_pool_one_channel_training_grads():
+    # Float64 finite differences through the recompute: a one-channel input
+    # in training mode, the path that keeps no conv output in the graph.
+    rng = np.random.default_rng(43)
+    n, o, k, dilation = 2, 2, 3, (2, 1)
+    x = rng.standard_normal((n, 1, 14, 10))
+    w, b = rng.standard_normal((o, 1, k, k)), rng.standard_normal(o)
+    gamma, beta = _gamma_beta(o, rng)
+    # The ReLU input sits off its kink, so finite differences are exact.
+    h = Tensor(x).conv2d(Tensor(w), Tensor(b), dilation)
+    h = h.batch_norm(Tensor(gamma), Tensor(beta), np.zeros(o), np.ones(o), training=True)
+    assert np.abs(h.data).min() > 1e-3
+
+    # The batch mean takes the conv bias out, so its gradient is zero up to
+    # rounding and no relative error is defined; it stays a constant here.
+    def build(ts):
+        out = ts["x"].conv_bn_relu_pool(ts["w"], Tensor(b), dilation, ts["gamma"], ts["beta"],
+                                        np.zeros(o), np.ones(o), training=True)
+        return (out * ts["c"]).sum()
+
+    check_grads(build, {"x": x, "w": w, "gamma": gamma, "beta": beta,
+                        "c": rng.standard_normal((n, o, 5, 4))})
+
+
 def test_dropout_grads_and_scaling():
     x = RNG.standard_normal((8, 10))
     p = 0.4

@@ -57,7 +57,10 @@ def test_benchmark_tracer_sees_every_conv_of_a_prediction_and_a_training_step():
     # perfbench marks a run failed when the conv MACs it sees through
     # Tensor.conv2d differ from analysis.count_flops, so a conv kernel that
     # bypassed Tensor.conv2d, or handed it copies of the model's weights,
-    # fails here first.
+    # fails here first. It counts a conv's backward MACs when the output's
+    # `_backward` runs, once per gradient it gives: block 1's input needs
+    # none, so its backward MACs equal its training forward's exactly, and
+    # a fused op that skipped or repeated conv's backward fails here too.
     rng = np.random.default_rng(3)
     net = model.Mtrcnn(model.ModelConfig(), rng)
     x = rng.standard_normal((2, 1, 150, dsp.N_MELS)).astype(np.float32)
@@ -66,6 +69,7 @@ def test_benchmark_tracer_sees_every_conv_of_a_prediction_and_a_training_step():
     try:
         tracer.run = "predict"
         net.predict(x[:1])
+        predict_macs = dict(tracer.counts)
         tracer.run = "train"
         logits = net.forward(x, training=True, dropout_rng=np.random.default_rng(4))
         training.cross_entropy(logits, np.array([0, 1])).backward()
@@ -73,5 +77,6 @@ def test_benchmark_tracer_sees_every_conv_of_a_prediction_and_a_training_step():
         tracer.uninstall()
     assert tracer.mismatched_runs == set()
     for k in (3, 5, 7):
-        assert tracer.counts[f"macs.fwd.k{k}b1"] > 0
-        assert tracer.counts[f"macs.bwd.k{k}b1"] > 0
+        train_fwd = tracer.counts[f"macs.fwd.k{k}b1"] - predict_macs[f"macs.fwd.k{k}b1"]
+        assert predict_macs[f"macs.fwd.k{k}b1"] > 0 and train_fwd > 0
+        assert tracer.counts[f"macs.bwd.k{k}b1"] == train_fwd

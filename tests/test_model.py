@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from touch_audition import autograd
 from touch_audition.analysis import count_params, min_input_frames
-from touch_audition.autograd import cross_entropy, no_grad
+from touch_audition.autograd import Tensor, cross_entropy, no_grad
 from touch_audition.data import TASK_CLASSES, target_frames
 from touch_audition.dsp import SAMPLE_RATE, num_frames
 from touch_audition.errors import (
@@ -129,12 +129,62 @@ def test_training_mode_uses_dropout_and_updates_bn():
     assert np.array_equal(e1, e2)
 
 
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from `root` through its parents, once each."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def test_training_graph_keeps_no_block1_conv_output():
+    # Block 1's conv outputs are the largest arrays of a training forward
+    # (one channel in, 16 out, at full resolution); its backward recomputes
+    # them. No tensor in the graph has one's shape, and tracemalloc sees no
+    # more held than the graph's own node arrays plus one copy of the
+    # weights (the conv closures' W_aug), so no closure keeps one either.
+    # Here a block-1 output is 2.8-3.1 MB and that copy under 1 MB.
+    model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+    n, t = 4, 200
+    x = RNG.standard_normal((n, 1, t, 64)).astype(np.float32)
+    with TracedMemory() as mem:
+        logits = model.forward(x, training=True, dropout_rng=np.random.default_rng(1))
+    nodes = [node for node in _graph_nodes(logits) if node._parents]
+    block1 = {(n, 16, t - k + 1, 64 - k + 1) for k in ModelConfig.kernel_sizes}
+    assert not block1 & {node.data.shape for node in nodes}
+    weights = sum(p.data.nbytes for p in model.parameters().values())
+    assert mem.held < sum(node.data.nbytes for node in nodes) + weights
+
+
+def test_training_step_matches_the_unfused_blocks_bit_for_bit(monkeypatch):
+    # Every conv block runs as one op, and block 1's training graph
+    # recomputes its conv output in backward. A training step keeps the bits
+    # of conv2d -> bn_relu_pool in the logits, every parameter gradient and
+    # every running buffer.
+    x = small_input(t=130, n=3)
+
+    def step() -> list[np.ndarray]:
+        model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
+        logits = model.forward(x, training=True, dropout_rng=np.random.default_rng(1))
+        cross_entropy(logits, np.arange(3)).backward()
+        return [logits.data, *(p.grad for p in model.parameters().values()), *model.buffers().values()]
+
+    fused = step()
+    monkeypatch.setattr(Tensor, "conv_bn_relu_pool",
+                        lambda h, w, b, dilation, *tail: h.conv2d(w, b, dilation).bn_relu_pool(*tail))
+    for got, want in zip(fused, step(), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_training_backward_peak_stays_near_the_forward_graph():
     # Backward frees each activation once its own closure has run, so its
-    # peak rises above the forward graph by less than one block-1 conv
-    # output plus that block's input gradient (0.96 block-1 outputs here),
-    # not by everything it computes while every activation waits for it
-    # to return (1.55).
+    # peak rises above the forward graph by less than block 1's conv output
+    # gradient plus one recomputed sample of that conv output (1.25 block-1
+    # outputs at this batch of 4; 1.13 measured), not by everything it
+    # computes while every activation waits for it to return (1.89).
     model = Mtrcnn(ModelConfig(), np.random.default_rng(0))
     x = RNG.standard_normal((4, 1, 200, 64)).astype(np.float32)
     labels = np.arange(4)
